@@ -296,6 +296,7 @@ func engineThroughput(b *testing.B, cfg dataplane.Config, n int) float64 {
 	cfg.PoolSize = 2048
 	cfg.TXThreads = 1
 	h := dataplane.NewHost(cfg)
+	h.BindIngress(0)
 	var done atomic.Int64
 	_, _ = h.AddNF(10, &nf.BatchAdapter{FnName: "noop", RO: true}, 0)
 	_, _ = h.Table().Add(flowtable.Rule{Scope: flowtable.Port(0), Match: flowtable.MatchAll,
@@ -311,7 +312,7 @@ func engineThroughput(b *testing.B, cfg dataplane.Config, n int) float64 {
 	frame, _ := factory.Frame(traffic.Flow(1, 256, 0), 0)
 	start := time.Now()
 	for i := 0; i < n; i++ {
-		for h.Inject(0, frame) != nil {
+		for h.Ingest(0, frame) != nil {
 			time.Sleep(time.Microsecond)
 		}
 	}
@@ -402,6 +403,7 @@ func portIOThroughput(b *testing.B, n int,
 	attach func(*testing.B, *dataplane.Host, *atomic.Int64) (flush, cleanup func())) float64 {
 	b.Helper()
 	h := dataplane.NewHost(dataplane.Config{PoolSize: 2048, TXThreads: 1})
+	h.BindIngress(0)
 	var delivered atomic.Int64
 	_, _ = h.AddNF(10, &nf.BatchAdapter{FnName: "noop", RO: true}, 0)
 	_, _ = h.Table().Add(flowtable.Rule{Scope: flowtable.Port(0), Match: flowtable.MatchAll,
@@ -418,7 +420,7 @@ func portIOThroughput(b *testing.B, n int,
 	frame, _ := factory.Frame(traffic.Flow(1, 256, 0), 0)
 	start := time.Now()
 	for i := 0; i < n; i++ {
-		for h.Inject(0, frame) != nil {
+		for h.Ingest(0, frame) != nil {
 			time.Sleep(time.Microsecond)
 		}
 	}

@@ -31,6 +31,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -225,6 +226,7 @@ func main() {
 		s := <-sigs
 		log.Printf("sdnfv-host: %s received, draining", s)
 	} else {
+		host.BindIngress(0)
 		factory := traffic.NewFactory()
 	gen:
 		for i := 0; i < *packets; i++ {
@@ -240,10 +242,7 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			for {
-				if err := host.Inject(0, frame); err == nil {
-					break
-				}
+			for errors.Is(host.Ingest(0, frame), dataplane.ErrIngestRefused) {
 				time.Sleep(5 * time.Microsecond)
 			}
 		}

@@ -12,6 +12,7 @@ package main
 // `sdnfv-ctl apply`.
 
 import (
+	"errors"
 	"fmt"
 	"log"
 	"os"
@@ -184,6 +185,7 @@ func runSpec(path string, packets, flows int, telemetryAddr string) {
 		s := <-sigs
 		log.Printf("sdnfv-host: %s received, draining", s)
 	} else {
+		ingress.BindIngress(sp.Ingress.Port)
 		factory := traffic.NewFactory()
 	gen:
 		for i := 0; i < packets; i++ {
@@ -198,10 +200,7 @@ func runSpec(path string, packets, flows int, telemetryAddr string) {
 			if err != nil {
 				log.Fatal(err)
 			}
-			for {
-				if err := ingress.Inject(sp.Ingress.Port, frame); err == nil {
-					break
-				}
+			for errors.Is(ingress.Ingest(sp.Ingress.Port, frame), dataplane.ErrIngestRefused) {
 				time.Sleep(5 * time.Microsecond)
 			}
 		}

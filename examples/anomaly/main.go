@@ -12,6 +12,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"log"
 	"time"
@@ -99,6 +100,7 @@ func main() {
 	defer ctl.Stop()
 
 	host := dataplane.NewHost(dataplane.Config{PoolSize: 2048, TXThreads: 1, Control: ctl})
+	host.BindIngress(0)
 	start := time.Now()
 	fw := &nfs.Firewall{DefaultAllow: true}
 	sampler := &nfs.Sampler{Rate: 1.0} // sample everything in the demo
@@ -146,10 +148,7 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			for {
-				if err := host.Inject(0, frame); err == nil {
-					break
-				}
+			for errors.Is(host.Ingest(0, frame), dataplane.ErrIngestRefused) {
 				time.Sleep(10 * time.Microsecond)
 			}
 		}

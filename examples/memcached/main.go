@@ -10,6 +10,7 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"log"
 	"time"
@@ -32,6 +33,7 @@ func main() {
 	proxy := &nfs.MemcachedProxy{Servers: backends, OutPort: 1}
 
 	host := dataplane.NewHost(dataplane.Config{PoolSize: 2048, TXThreads: 1})
+	host.BindIngress(0)
 	if _, err := host.AddNF(svcProxy, proxy, 0); err != nil {
 		log.Fatal(err)
 	}
@@ -72,10 +74,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		for {
-			if err := host.Inject(0, frame); err == nil {
-				break
-			}
+		for errors.Is(host.Ingest(0, frame), dataplane.ErrIngestRefused) {
 			time.Sleep(5 * time.Microsecond)
 		}
 	}

@@ -13,6 +13,7 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"log"
 	"time"
@@ -81,6 +82,7 @@ func main() {
 
 	// 2. Build a host, register the NFs, and install the compiled rules.
 	host := dataplane.NewHost(dataplane.Config{PoolSize: 1024, TXThreads: 1})
+	host.BindIngress(0)
 	fw := &nfs.Firewall{DefaultAllow: true}
 	counter := &nfs.Counter{}
 	tally := &flowTally{}
@@ -131,10 +133,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		for {
-			if err := host.Inject(0, frame); err == nil {
-				break
-			}
+		for errors.Is(host.Ingest(0, frame), dataplane.ErrIngestRefused) {
 			time.Sleep(10 * time.Microsecond) // NIC ring momentarily full
 		}
 		if i%20 == 19 {

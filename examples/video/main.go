@@ -10,6 +10,7 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"log"
 	"time"
@@ -48,6 +49,7 @@ func main() {
 	fmt.Print(g)
 
 	host := dataplane.NewHost(dataplane.Config{PoolSize: 2048, TXThreads: 1})
+	host.BindIngress(0)
 	policy := &nfs.PolicyState{}
 	detector := &nfs.VideoDetector{PolicyEngine: svcPolicy, Bypass: flowtable.Port(1)}
 	engine := &nfs.PolicyEngine{State: policy, Transcoder: svcTranscoder, Bypass: flowtable.Port(1)}
@@ -81,10 +83,7 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			for {
-				if err := host.Inject(0, frame); err == nil {
-					break
-				}
+			for errors.Is(host.Ingest(0, frame), dataplane.ErrIngestRefused) {
 				time.Sleep(10 * time.Microsecond)
 			}
 		}

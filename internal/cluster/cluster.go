@@ -6,9 +6,9 @@
 //     (Start/Stop) and aggregate accounting across members;
 //   - Links: the inter-host wires. A link binds (hostA, portA) ↔
 //     (hostB, portB) through the hosts' per-port egress bindings, so an
-//     ActionOut on one host becomes an Inject on its peer. Unshaped
+//     ActionOut on one host becomes an Ingest on its peer. Unshaped
 //     links deliver synchronously in the transmitting host's TX thread
-//     (zero extra copies — Inject copies into the peer's pool either
+//     (zero extra copies — Ingest copies into the peer's pool either
 //     way); shaped links model capacity and propagation delay with a
 //     store-and-forward pacer, netem-style but in wall time;
 //   - rule installation for the per-host tables the application
@@ -58,8 +58,9 @@ type LinkStats struct {
 	// TxFrames/TxBytes count frames delivered into the peer host.
 	TxFrames, TxBytes uint64
 	// Drops counts frames lost on the wire: shaper queue overflow or
-	// the peer refusing the inject (pool exhausted, NIC ring full,
-	// host stopped).
+	// the peer refusing the frame for capacity (pool exhausted, NIC
+	// ring full, host stopped). Frames the peer refuses for what they
+	// are count in TxFrames here and in the peer's RxDrops.
 	Drops uint64
 }
 
@@ -90,10 +91,10 @@ func (l *Link) Stats() LinkStats {
 	}
 }
 
-// deliver injects one frame into the destination host, counting the
-// outcome.
+// deliver hands one frame to the destination host's ingress, counting
+// the outcome.
 func (l *Link) deliver(frame []byte) {
-	if err := l.dst.Inject(l.InPort, frame); err != nil {
+	if errors.Is(l.dst.Ingest(l.InPort, frame), dataplane.ErrIngestRefused) {
 		l.drops.Add(1)
 		return
 	}
@@ -260,8 +261,8 @@ func (f *Fabric) Alive(dp control.DatapathID) bool {
 // Connect wires one direction: frames src transmits out outPort arrive
 // on dst's inPort. The binding goes through the source host's per-port
 // egress table, so its packet path stays lock-free; an unshaped link's
-// delivery is the peer's Inject, called synchronously from the
-// transmitting TX thread.
+// delivery is the peer's Ingest on inPort (bound here), called
+// synchronously from the transmitting TX thread.
 func (f *Fabric) Connect(src control.DatapathID, outPort int, dst control.DatapathID, inPort int, cfg LinkConfig) (*Link, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -280,6 +281,7 @@ func (f *Fabric) Connect(src control.DatapathID, outPort int, dst control.Datapa
 		Src: src, Dst: dst, OutPort: outPort, InPort: inPort,
 		cfg: cfg, dst: dm.host,
 	}
+	dm.host.BindIngress(inPort)
 	if cfg.shaped() {
 		l.frames = make(chan []byte, cfg.Queue)
 		l.done = make(chan struct{})
@@ -435,13 +437,14 @@ func (f *Fabric) Stop() {
 	}
 }
 
-// Inject delivers a raw frame into datapath dp on port.
+// Inject delivers a raw frame into datapath dp on port, through the
+// host's Ingest: the port needs an ingress binding (BindIngress).
 func (f *Fabric) Inject(dp control.DatapathID, port int, frame []byte) error {
 	h, ok := f.Host(dp)
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownHost, dp)
 	}
-	return h.Inject(port, frame)
+	return h.Ingest(port, frame)
 }
 
 // Stats returns each member host's counter snapshot.

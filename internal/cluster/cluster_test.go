@@ -64,6 +64,7 @@ func twoHostFabric(t *testing.T) (*Fabric, *app.Deployment, map[control.Datapath
 			t.Fatal(err)
 		}
 	}
+	hosts[dpLeft].BindIngress(0) // the deployment's ingress port
 	link, err := f.Connect(dpLeft, 2, dpRight, 2, LinkConfig{})
 	if err != nil {
 		t.Fatal(err)
@@ -179,6 +180,7 @@ func TestShapedLinkDelay(t *testing.T) {
 	f := New()
 	h1 := dataplane.NewHost(dataplane.Config{PoolSize: 256, TXThreads: 1})
 	h2 := dataplane.NewHost(dataplane.Config{PoolSize: 256, TXThreads: 1})
+	h1.BindIngress(0)
 	if err := f.AddHost(1, "a", h1); err != nil {
 		t.Fatal(err)
 	}

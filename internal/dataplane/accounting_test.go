@@ -17,8 +17,9 @@ import (
 // slow single-worker controller with a tiny queue (ErrQueueFull drops),
 // small rings, a slow NF — and requires the per-host conservation
 // identity rx == tx + drops + overflows + txdrops to balance exactly
-// once idle. Guards the Inject/transmit accounting semantics: refused
-// injects stay out of Drops, undeliverable egress lands in TxDrops.
+// once idle. Guards the ingest/transmit accounting semantics: capacity
+// refusals stay out of every counter, undeliverable egress lands in
+// TxDrops.
 func TestAccountingIdentityUnderMissOverload(t *testing.T) {
 	ctl := controller.New(controller.Config{Workers: 1, ServiceTime: 2 * time.Millisecond, QueueDepth: 8})
 	ctl.SetNorthbound(control.NorthboundFuncs{
@@ -32,6 +33,7 @@ func TestAccountingIdentityUnderMissOverload(t *testing.T) {
 	ctl.Start()
 	defer ctl.Stop()
 	h := NewHost(Config{PoolSize: 512, RingSize: 64, TXThreads: 1, Control: ctl})
+	h.BindIngress(0)
 	slow := &slowNF{d: 20 * time.Microsecond}
 	if _, err := h.AddNF(41, slow, 0); err != nil {
 		t.Fatal(err)
@@ -50,7 +52,7 @@ func TestAccountingIdentityUnderMissOverload(t *testing.T) {
 	}
 	for i := 0; i < n; i++ {
 		for {
-			if err := h.Inject(0, frames[i%64]); err == nil {
+			if err := h.Ingest(0, frames[i%64]); err == nil {
 				break
 			}
 			time.Sleep(time.Microsecond)

@@ -19,6 +19,7 @@ const (
 // the rest.
 func TestPerPortEgressBindings(t *testing.T) {
 	h := NewHost(Config{PoolSize: 256, TXThreads: 1})
+	h.BindIngress(0)
 	p1, p2, other := &collector{}, &collector{}, &collector{}
 	h.BindPort(1, p1.fn)
 	h.BindPort(2, p2.fn)
@@ -53,7 +54,7 @@ func TestPerPortEgressBindings(t *testing.T) {
 	}
 	for i := 0; i < 5; i++ {
 		for _, dst := range []uint16{80, 81, 82} {
-			if err := h.Inject(0, frameTo(dst)); err != nil {
+			if err := h.Ingest(0, frameTo(dst)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -83,6 +84,7 @@ func TestPerPortEgressBindings(t *testing.T) {
 // TxDrops, keeping rx == tx + drops + overflows + txdrops exact.
 func TestTransmitUnboundCountsTxDrops(t *testing.T) {
 	h := NewHost(Config{PoolSize: 64, TXThreads: 1})
+	h.BindIngress(0)
 	if _, err := h.Table().Add(flowtable.Rule{
 		Scope: flowtable.Port(0), Match: flowtable.MatchAll,
 		Actions: []flowtable.Action{flowtable.Out(5)},
@@ -97,7 +99,7 @@ func TestTransmitUnboundCountsTxDrops(t *testing.T) {
 	frame := buildFrame(t, 6000, nil)
 	const n = 10
 	for i := 0; i < n; i++ {
-		if err := h.Inject(0, frame); err != nil {
+		if err := h.Ingest(0, frame); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -117,7 +119,7 @@ func TestTransmitUnboundCountsTxDrops(t *testing.T) {
 	// flow deliverable.
 	out := &collector{}
 	h.BindPort(5, out.fn)
-	if err := h.Inject(0, frame); err != nil {
+	if err := h.Ingest(0, frame); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, func() bool { return out.count() == 1 }, "post-bind delivery")

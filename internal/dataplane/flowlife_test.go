@@ -54,6 +54,7 @@ func startFlowLifeRig(t *testing.T, idle time.Duration) *flowLifeRig {
 		FlowIdleTimeout:   idle,
 		FlowSweepInterval: 2 * time.Millisecond,
 	})
+	h.BindIngress(0)
 	// The monitor NF pins per-flow state, so an eviction that fails to
 	// release it is observable as a leak.
 	mon := &nf.BatchAdapter{FnName: "mon", RO: true,
@@ -81,7 +82,7 @@ func (r *flowLifeRig) inject(t *testing.T, factory *traffic.Factory, id int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for r.host.Inject(0, frame) != nil {
+	for r.host.Ingest(0, frame) != nil {
 		time.Sleep(5 * time.Microsecond)
 	}
 }
@@ -148,7 +149,11 @@ func TestFlowStateChurnNoLeak(t *testing.T) {
 		for i := 1; i <= wave; i++ {
 			rig.inject(t, factory, base+i)
 		}
-		// Every wave must drain completely: rules evicted, state freed.
+		// Every wave must drain completely: packets out (so every rule
+		// is installed), rules evicted, state freed.
+		if !rig.host.WaitIdle(10 * time.Second) {
+			t.Fatal("wave still in flight")
+		}
 		waitCond(t, func() bool { return rig.host.Stats().Table.Rules == 0 }, "wave evicted")
 		waitCond(t, func() bool { return fs.Len() == 0 }, "wave state released")
 	}

@@ -87,41 +87,33 @@ func (c *Config) fillDefaults() {
 type HostStats struct {
 	RxPackets uint64
 	TxPackets uint64
-	// Drops counts admitted packets discarded by policy or overload of
-	// the manager's own rings (drop rules/verbs, missing services,
-	// miss-path overflow). NF input-queue overflows are NOT included —
-	// they are capacity pressure, not policy, and live in Overflows so
-	// the autoscale layer (and operators) can tell the two apart.
-	// Refused Injects are not included either: a refused frame was
-	// never admitted (never in RxPackets), so it is the injector's loss
-	// to account — the cluster fabric counts such frames as link drops.
-	// Under non-parallel dispatch every admitted packet therefore lands
-	// in exactly one of TxPackets, Drops, Overflows, or TxDrops; a
-	// parallel fan-out additionally counts each refused member OFFER in
-	// Overflows while the packet itself continues through the join (see
-	// Overflows), so parallel rules can push the sum past RxPackets.
+	// Drops counts admitted packets discarded by policy or by overload of
+	// the manager's own rings: drop rules and verbs, missing services,
+	// miss-path overflow. Under non-parallel dispatch every admitted
+	// packet lands in exactly one of TxPackets, Drops, Overflows or
+	// TxDrops, so once the host is idle
+	//
+	//	RxPackets = TxPackets + Drops + Overflows + TxDrops + RxDrops
+	//
+	// A parallel fan-out rule breaks the equality upward: it counts each
+	// refused member offer in Overflows while the packet itself goes on
+	// through the join.
 	Drops uint64
-	// Overflows counts packets (or parallel fan-out offers) refused
-	// because an NF replica's input rings were full — the signal that a
-	// service needs more replicas (§3.3, §5 dynamic scaling).
+	// Overflows counts offers refused because an NF replica's input rings
+	// were full: capacity pressure, not policy, and the signal that a
+	// service needs more replicas (§3.3, §5 dynamic scaling). It is the
+	// sum of the Replicas' OverflowDrops plus those of removed replicas,
+	// so it never decreases.
 	Overflows uint64
-	// TxDrops counts frames that reached egress but could not be
-	// delivered: the out port had no sink bound, or the buffer handle
-	// went stale before the bytes could be read. They are neither
-	// TxPackets (nothing left the host) nor Drops (no policy or
-	// overload decided their fate) — keeping them separate means
-	// RxPackets = TxPackets + Drops + Overflows + TxDrops + RxDrops
-	// holds exactly once the host is idle and no parallel fan-out rule
-	// was involved (parallel refusals count offers, not packets — see
-	// Drops).
+	// TxDrops counts frames that reached egress but never left the host:
+	// the out port had no sink bound, or the buffer handle went stale
+	// before the bytes could be read.
 	TxDrops uint64
-	// RxDrops counts wire frames refused at the driver ingress boundary
-	// (Ingest): oversize for the pool frame cap, unparseable, arriving
-	// on a port with no ingress binding, or hitting a capacity refusal
-	// (pool/ring/stopped). Each one also counts in RxPackets — the wire
-	// delivered it, so unlike a refused Inject it is this host's loss
-	// to account (see ingress.go). Inject refusals still appear in
-	// neither counter.
+	// RxDrops counts frames the ingress boundary refused for what they
+	// are: no ingress binding on the port, oversize, or unparseable. Each
+	// also counts in RxPackets. Frames refused for capacity (pool, ring,
+	// stopped host) are in neither counter: they went back to the caller
+	// (see ingress.go).
 	RxDrops uint64
 	// ReleaseErrs counts pool.Release calls that failed — a release of a
 	// stale or double-freed handle. Any nonzero value is a refcounting
@@ -189,6 +181,10 @@ type Host struct {
 	instSeq uint64
 	// snapEpoch numbers published routing snapshots (guarded by mu).
 	snapEpoch uint64
+	// retiredOverflows is the overflow count of removed replicas
+	// (guarded by mu): with the live replicas' own counts it makes up
+	// HostStats.Overflows.
+	retiredOverflows uint64
 
 	// snap is the atomically published routing snapshot (lock-free reads
 	// on the fast path).
@@ -236,7 +232,6 @@ type Host struct {
 	txCount         atomic.Uint64
 	txDropCount     atomic.Uint64
 	dropCount       atomic.Uint64
-	overflowCount   atomic.Uint64
 	missCount       atomic.Uint64
 	msgCount        atomic.Uint64
 	msgRejected     atomic.Uint64
@@ -249,9 +244,9 @@ type Host struct {
 	// drain exclusive, and it lets user Init/Close hooks run OUTSIDE h.mu
 	// so a hook may call inspection APIs (FlowState, Instances, Stats).
 	// Hooks must not call lifecycle methods — that self-deadlocks on
-	// lifeMu. For the same reason RemoveNF must not be called from a
-	// manager thread (an NF body or the cross-layer message path): its
-	// drain waits on those threads.
+	// lifeMu. For the same reason RemoveNF and a live AddNF or Launch
+	// must not be called from a manager thread (an NF body or the
+	// cross-layer message path): they wait on those threads.
 	lifeMu sync.Mutex
 }
 
@@ -373,14 +368,13 @@ func (h *Host) producerCount() int { return 2 + h.cfg.TXThreads }
 func (h *Host) fcProducerSlot() int { return 1 + h.cfg.TXThreads }
 
 // publishSnapLocked publishes a new routing snapshot built from the
-// registered services/instances plus any extra instances whose out rings
-// must keep draining (a retiring replica). Caller holds h.mu.
-func (h *Host) publishSnapLocked(extra ...*Instance) uint64 {
+// registered services and instances. Caller holds h.mu.
+func (h *Host) publishSnapLocked() uint64 {
 	h.snapEpoch++
 	s := &routeSnap{
 		epoch: h.snapEpoch,
 		svc:   make(map[flowtable.ServiceID][]*Instance, len(h.services)),
-		inst:  append(append([]*Instance(nil), h.instances...), extra...),
+		inst:  append([]*Instance(nil), h.instances...),
 	}
 	for svc, insts := range h.services {
 		s.svc[svc] = append([]*Instance(nil), insts...)
@@ -424,8 +418,11 @@ func (h *Host) waitSnapObserved(epoch uint64) {
 // host this is a live scale-up: the replica's Init hook runs, its rings
 // and goroutine launch, per-flow state owned by it under LBFlowHash
 // migrates over, and a new routing snapshot makes it eligible for
-// traffic. The engine attaches a per-replica flow-state store to the NF's
-// context and buffers its cross-layer messages per burst.
+// traffic. A live AddNF returns only once every manager thread routes
+// with that snapshot, so it must not be called from a manager thread or
+// an NF hook (see lifeMu). The engine attaches a per-replica flow-state
+// store to the NF's context and buffers its cross-layer messages per
+// burst.
 func (h *Host) AddNF(svc flowtable.ServiceID, fn nf.BatchFunction, priority uint16) (*Instance, error) {
 	h.lifeMu.Lock()
 	defer h.lifeMu.Unlock()
@@ -448,7 +445,8 @@ func (h *Host) addReplica(svc flowtable.ServiceID, fn nf.BatchFunction, priority
 	if err := nf.InitNF(inst.fn, &inst.ctx); err != nil {
 		inst.ctx.DropEmits()
 		h.mu.Lock()
-		h.unregisterLocked(inst)
+		h.unlistLocked(inst)
+		h.retireLocked(inst)
 		h.publishSnapLocked()
 		h.mu.Unlock()
 		return nil, &NFInitError{Service: inst.Service, Instance: inst.Index, Err: err}
@@ -471,8 +469,11 @@ func (h *Host) addReplica(svc flowtable.ServiceID, fn nf.BatchFunction, priority
 
 	inst.launch(h)
 	h.mu.Lock()
-	h.publishSnapLocked()
+	epoch := h.publishSnapLocked()
 	h.mu.Unlock()
+	// A producer still holding the old snapshot would keep dispatching
+	// the new replica's flows to their former owner after we return.
+	h.waitSnapObserved(epoch)
 	return inst, nil
 }
 
@@ -513,9 +514,9 @@ func (h *Host) addLocked(svc flowtable.ServiceID, fn nf.BatchFunction, priority 
 	return inst, nil
 }
 
-// unregisterLocked removes inst from the service and instance lists.
-// Caller holds h.mu.
-func (h *Host) unregisterLocked(inst *Instance) {
+// unlistLocked removes inst from its service's replica list, so no
+// snapshot published afterwards offers it packets. Caller holds h.mu.
+func (h *Host) unlistLocked(inst *Instance) {
 	insts := h.services[inst.Service]
 	for i, in := range insts {
 		if in == inst {
@@ -526,10 +527,18 @@ func (h *Host) unregisterLocked(inst *Instance) {
 	if len(h.services[inst.Service]) == 0 {
 		delete(h.services, inst.Service)
 	}
+}
+
+// retireLocked removes inst from the instance list (the TX scan and the
+// replicas Stats sums) and folds its overflow count into
+// retiredOverflows, so HostStats.Overflows never decreases. Caller holds
+// h.mu, and no producer may still offer to inst: its count is final.
+func (h *Host) retireLocked(inst *Instance) {
 	for i, in := range h.instances {
 		if in == inst {
 			h.instances = append(append([]*Instance(nil), h.instances[:i]...), h.instances[i+1:]...)
-			break
+			h.retiredOverflows += inst.dropCount.Load()
+			return
 		}
 	}
 }
@@ -586,18 +595,17 @@ func (h *Host) RemoveNF(svc flowtable.ServiceID, index int) error {
 		h.mu.Unlock()
 		return fmt.Errorf("dataplane: no replica %d of service %s", index, svc)
 	}
-	h.unregisterLocked(victim)
+	// Stop offering: svc no longer lists the victim. It stays an
+	// instance — on the TX threads' scan list and in the Stats sum —
+	// until drained.
+	h.unlistLocked(victim)
 	remaining := append([]*Instance(nil), h.services[svc]...)
-	started := h.started
-	var epoch uint64
-	if started {
-		// Stop offering: svc no longer lists the victim, but its out ring
-		// stays on the TX threads' scan list until drained.
-		epoch = h.publishSnapLocked(victim)
-	}
-	h.mu.Unlock()
-
-	if started {
+	if !h.started {
+		h.retireLocked(victim)
+		h.mu.Unlock()
+	} else {
+		epoch := h.publishSnapLocked()
+		h.mu.Unlock()
 		h.waitSnapObserved(epoch)
 		// No producer offers to the victim anymore; ask its goroutine to
 		// run the input rings dry and exit. The drain flag (checked only
@@ -611,6 +619,7 @@ func (h *Host) RemoveNF(svc flowtable.ServiceID, index int) error {
 			runtime.Gosched()
 		}
 		h.mu.Lock()
+		h.retireLocked(victim)
 		epoch = h.publishSnapLocked()
 		h.mu.Unlock()
 		h.waitSnapObserved(epoch)
@@ -731,21 +740,11 @@ func (h *Host) replace(inst *Instance, fn nf.BatchFunction) {
 }
 
 // sameNFImpl reports whether two functions are the same NF
-// implementation for the state-survival check: same concrete type
-// (looking through the PerPacket shim, whose wrapper type would conflate
-// all v1 NFs) and same name (adapter types like FuncAdapter/BatchAdapter
-// would otherwise conflate unrelated NFs built from them).
+// implementation for the state-survival check: same concrete type and
+// same name (an adapter type like BatchAdapter would otherwise conflate
+// unrelated NFs built from it).
 func sameNFImpl(a, b nf.BatchFunction) bool {
-	return nfImplType(a) == nfImplType(b) && a.Name() == b.Name()
-}
-
-// nfImplType identifies the implementation type behind fn, unwrapping
-// the PerPacket shim.
-func nfImplType(fn nf.BatchFunction) reflect.Type {
-	if u, ok := fn.(interface{ Unwrap() nf.Function }); ok {
-		return reflect.TypeOf(u.Unwrap())
-	}
-	return reflect.TypeOf(fn)
+	return reflect.TypeOf(a) == reflect.TypeOf(b) && a.Name() == b.Name()
 }
 
 // FlowState returns the engine-owned per-flow store of replica index of
@@ -766,8 +765,9 @@ func (h *Host) FlowState(svc flowtable.ServiceID, index int) *nf.FlowState {
 // replica or replaces replica 0 (which runs the outgoing NF's Close hook
 // and keeps its flow state), matching the paper's VM (re)boot model. On a
 // started host it is a live scale-up: a new replica joins the service's
-// load-balanced set (§3.3, §5.2). The scale-down path is RemoveNF,
-// reached through orchestrator.Retire.
+// load-balanced set (§3.3, §5.2), with AddNF's restriction: not from a
+// manager thread. The scale-down path is RemoveNF, reached through
+// orchestrator.Retire.
 type NamedHost struct {
 	Name string
 	*Host
@@ -873,7 +873,7 @@ func (h *Host) Start() error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.started = true
-	// Unlatch the stop flags a previous Stop left set (they gate Inject
+	// Unlatch the stop flags a previous Stop left set (they gate ingest
 	// while the host is down).
 	h.stop.Store(false)
 	for _, inst := range h.instances {
@@ -941,7 +941,7 @@ func (h *Host) Stop() {
 	h.mu.Lock()
 	h.started = false
 	// h.stop (and the per-instance flags) stay latched until the next
-	// Start: an Inject arriving after the drain must keep being refused,
+	// Start: a frame arriving after the drain must keep being refused,
 	// or its descriptor would sit in nicIn defeating the no-leak
 	// guarantee above.
 	h.mu.Unlock()
@@ -968,7 +968,7 @@ func (h *Host) drainRings(insts []*Instance) {
 			h.releaseDesc(&d)
 		}
 	}
-	// injectMu pairs with Inject's stop check: any Inject that slipped in
+	// injectMu pairs with enqueue's stop check: any frame that slipped in
 	// before the stop flag enqueued under the lock we now hold, so its
 	// descriptor is visible to this drain.
 	h.injectMu.Lock()
@@ -989,8 +989,10 @@ func (h *Host) drainRings(insts []*Instance) {
 func (h *Host) Stats() HostStats {
 	h.mu.Lock()
 	replicas := make([]ReplicaStats, len(h.instances))
+	overflows := h.retiredOverflows
 	for i, inst := range h.instances {
 		replicas[i] = inst.Stats()
+		overflows += replicas[i].OverflowDrops
 	}
 	h.mu.Unlock()
 	return HostStats{
@@ -1000,7 +1002,7 @@ func (h *Host) Stats() HostStats {
 		TxDrops:      h.txDropCount.Load(),
 		ReleaseErrs:  h.releaseErrCount.Load(),
 		Drops:        h.dropCount.Load(),
-		Overflows:    h.overflowCount.Load(),
+		Overflows:    overflows,
 		Misses:       h.missCount.Load(),
 		CtrlMessages: h.msgCount.Load(),
 		MsgsRejected: h.msgRejected.Load(),
@@ -1044,53 +1046,6 @@ func (h *Host) pause(idle *int) {
 	default:
 		time.Sleep(5 * time.Microsecond)
 	}
-}
-
-// Inject delivers a raw frame into the host NIC on port (the traffic
-// generator's DMA, or a fabric link's far end). The frame is copied into
-// a pool buffer. A refusal (pool exhausted, NIC ring full, host
-// stopped) is reported to the caller and NOT counted in the host's
-// Drops: the frame was never admitted, so accounting it is the
-// injector's job — like a NIC with no free descriptors back-pressuring
-// DMA. Safe for concurrent use.
-func (h *Host) Inject(port int, frame []byte) error {
-	hd, err := h.pool.Alloc()
-	if err != nil {
-		return err
-	}
-	buf, _ := h.pool.Buf(hd)
-	if len(frame) > len(buf) {
-		h.release(hd)
-		return fmt.Errorf("dataplane: frame %dB exceeds buffer %dB", len(frame), len(buf))
-	}
-	copy(buf, frame)
-	_ = h.pool.SetLength(hd, len(frame))
-	d := Desc{
-		H:            hd,
-		Scope:        flowtable.Port(port),
-		ArrivalNanos: time.Now().UnixNano(),
-	}
-	if v, err := packet.Parse(buf[:len(frame)]); err == nil {
-		d.View = v
-		d.Key = v.FlowKey()
-	}
-	h.injectMu.Lock()
-	if h.stop.Load() {
-		// The host is stopping or stopped (the flag stays latched until
-		// the next Start): Stop's ring drain (which also takes injectMu)
-		// must observe every enqueued descriptor, so refuse frames
-		// instead of leaking them past the drain.
-		h.injectMu.Unlock()
-		h.release(hd)
-		return errors.New("dataplane: host stopped")
-	}
-	ok := h.nicIn.Enqueue(d)
-	h.injectMu.Unlock()
-	if !ok {
-		h.release(hd)
-		return errors.New("dataplane: NIC ring full")
-	}
-	return nil
 }
 
 // release returns a buffer reference, counting failures: a failed
@@ -1242,10 +1197,9 @@ func (h *Host) fanOut(snap *routeSnap, d *Desc, e *flowtable.Entry, producer int
 			}
 		}
 		if !inst.offer(producer, cp) {
-			// Member queue full: overflow pressure on that replica.
-			// Account the member as done with the lowest-priority outcome
-			// so the join still completes.
-			h.overflowCount.Add(1)
+			// Member queue full: overflow pressure on that replica (offer
+			// counted it). Account the member as done with the
+			// lowest-priority outcome so the join still completes.
 			h.parJoin(snap, &cp, packAction(flowtable.Forward(inst.Service), 0), producer, rr)
 		}
 	}
@@ -1280,9 +1234,10 @@ func (h *Host) applyAction(snap *routeSnap, d *Desc, a flowtable.Action, produce
 			}
 		}
 		if !inst.offer(producer, nd) {
-			// NF queue overflow: replica capacity pressure, not policy —
-			// counted separately so the autoscale layer sees it (§3.3).
-			h.overflowDrop(d)
+			// NF queue overflow: replica capacity pressure, not policy.
+			// offer counted it on the replica, the one source of
+			// HostStats.Overflows the autoscale layer reads (§3.3).
+			h.releaseDesc(d)
 		}
 	}
 }
@@ -1318,14 +1273,6 @@ func (h *Host) transmit(d *Desc, port int) {
 //sdnfv:hotpath
 func (h *Host) dropPacket(d *Desc) {
 	h.dropCount.Add(1)
-	h.releaseDesc(d)
-}
-
-// overflowDrop discards d because an NF replica's input rings were full.
-//
-//sdnfv:hotpath
-func (h *Host) overflowDrop(d *Desc) {
-	h.overflowCount.Add(1)
 	h.releaseDesc(d)
 }
 

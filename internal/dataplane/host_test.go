@@ -58,6 +58,7 @@ func startHost(t *testing.T, cfg Config, setup func(h *Host)) (*Host, *collector
 		cfg.TXThreads = 1
 	}
 	h := NewHost(cfg)
+	h.BindIngress(0)
 	out := &collector{}
 	h.BindDefault(out.fn)
 	if setup != nil {
@@ -88,11 +89,14 @@ const (
 	svcC flowtable.ServiceID = 12
 )
 
-// ppNF builds a read-only per-packet NF through the v1 PerPacket shim, so
-// the engine tests cover the shim path end to end (native batch NFs are
-// covered by the nfs suite and lifecycle tests).
+// ppNF builds a read-only NF that applies f to each packet of a burst.
 func ppNF(name string, f func(ctx *nf.Context, p *nf.Packet) nf.Decision) nf.BatchFunction {
-	return nf.PerPacket(&nf.FuncAdapter{FnName: name, RO: true, ProcessF: f})
+	return &nf.BatchAdapter{FnName: name, RO: true,
+		ProcessBatchF: func(ctx *nf.Context, batch []nf.Packet, out []nf.Decision) {
+			for i := range batch {
+				out[i] = f(ctx, &batch[i])
+			}
+		}}
 }
 
 func TestSingleNFChain(t *testing.T) {
@@ -115,7 +119,7 @@ func TestSingleNFChain(t *testing.T) {
 	const n = 50
 	frame := buildFrame(t, 1000, []byte("hello"))
 	for i := 0; i < n; i++ {
-		if err := h.Inject(0, frame); err != nil {
+		if err := h.Ingest(0, frame); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -161,7 +165,7 @@ func TestSequentialChainOrder(t *testing.T) {
 			Actions: []flowtable.Action{flowtable.Out(0)}})
 	})
 	frame := buildFrame(t, 2000, nil)
-	if err := h.Inject(0, frame); err != nil {
+	if err := h.Ingest(0, frame); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, func() bool { return out.count() == 1 }, "packet out")
@@ -184,7 +188,7 @@ func TestDiscardVerb(t *testing.T) {
 	})
 	frame := buildFrame(t, 3000, nil)
 	for i := 0; i < 10; i++ {
-		_ = h.Inject(0, frame)
+		_ = h.Ingest(0, frame)
 	}
 	waitFor(t, func() bool { return h.Stats().Drops == 10 }, "drops")
 	if out.count() != 0 {
@@ -219,7 +223,7 @@ func TestSendToValidation(t *testing.T) {
 		mustAdd(t, h, flowtable.Rule{Scope: svcC, Match: flowtable.MatchAll,
 			Actions: []flowtable.Action{flowtable.Out(0)}})
 	})
-	_ = h.Inject(0, buildFrame(t, 4000, nil))
+	_ = h.Ingest(0, buildFrame(t, 4000, nil))
 	waitFor(t, func() bool { return out.count() == 1 }, "packet out")
 	if cGot.Load() != 0 {
 		t.Fatal("disallowed SendTo was honored")
@@ -246,7 +250,7 @@ func TestSendToAllowed(t *testing.T) {
 		mustAdd(t, h, flowtable.Rule{Scope: svcC, Match: flowtable.MatchAll,
 			Actions: []flowtable.Action{flowtable.Out(0)}})
 	})
-	_ = h.Inject(0, buildFrame(t, 5000, nil))
+	_ = h.Ingest(0, buildFrame(t, 5000, nil))
 	waitFor(t, func() bool { return out.count() == 1 }, "packet out")
 	if cGot.Load() != 1 {
 		t.Fatal("allowed SendTo was not honored")
@@ -273,7 +277,7 @@ func TestParallelDispatchRefcounts(t *testing.T) {
 	const n = 40
 	frame := buildFrame(t, 6000, []byte("par"))
 	for i := 0; i < n; i++ {
-		_ = h.Inject(0, frame)
+		_ = h.Ingest(0, frame)
 	}
 	// Exactly one copy of each packet exits, both NFs see every packet.
 	waitFor(t, func() bool { return out.count() == n }, "join outputs")
@@ -304,7 +308,7 @@ func TestParallelConflictDropWins(t *testing.T) {
 	const n = 20
 	frame := buildFrame(t, 7000, nil)
 	for i := 0; i < n; i++ {
-		_ = h.Inject(0, frame)
+		_ = h.Ingest(0, frame)
 	}
 	waitFor(t, func() bool { return h.Pool().Stats().InUse == 0 && h.Stats().RxPackets == n }, "drain")
 	// Drop must win every conflict: nothing exits.
@@ -331,7 +335,7 @@ func TestLoadBalancerFlowHashAffinity(t *testing.T) {
 	frame := buildFrame(t, 8000, nil)
 	const n = 30
 	for i := 0; i < n; i++ {
-		_ = h.Inject(0, frame)
+		_ = h.Ingest(0, frame)
 	}
 	waitFor(t, func() bool { return out.count() == n }, "packets out")
 	a, b := got[0].Load(), got[1].Load()
@@ -357,7 +361,7 @@ func TestLoadBalancerRoundRobinSpreads(t *testing.T) {
 	frame := buildFrame(t, 8100, nil)
 	const n = 40
 	for i := 0; i < n; i++ {
-		_ = h.Inject(0, frame)
+		_ = h.Ingest(0, frame)
 	}
 	waitFor(t, func() bool { return out.count() == n }, "packets out")
 	a, b := got[0].Load(), got[1].Load()
@@ -381,13 +385,13 @@ func TestFlowControllerSouthboundResolve(t *testing.T) {
 	}
 	h, out := startHost(t, cfg, nil) // empty flow table: everything misses
 	frame := buildFrame(t, 9000, nil)
-	_ = h.Inject(0, frame)
+	_ = h.Ingest(0, frame)
 	waitFor(t, func() bool { return out.count() == 1 }, "miss-resolved packet out")
 	if misses.Load() != 1 {
 		t.Fatalf("miss handler called %d times", misses.Load())
 	}
 	// Subsequent packets of the flow hit the installed rule (no new miss).
-	_ = h.Inject(0, frame)
+	_ = h.Ingest(0, frame)
 	waitFor(t, func() bool { return out.count() == 2 }, "second packet out")
 	if misses.Load() != 1 {
 		t.Fatalf("rule not installed: %d misses", misses.Load())
@@ -435,14 +439,14 @@ func TestCrossLayerChangeDefault(t *testing.T) {
 			Actions: []flowtable.Action{flowtable.Out(0)}})
 	})
 	frame := buildFrame(t, 9500, nil)
-	_ = h.Inject(0, frame)
+	_ = h.Ingest(0, frame)
 	<-release
 	waitFor(t, func() bool { return out.count() == 1 }, "first packet")
 	// Wait for the control message to be applied (TX thread 0 drains it).
 	waitFor(t, func() bool { return h.Stats().CtrlMessages >= 1 && h.Table().Stats().Rules >= 5 }, "rule installed")
 	const n = 10
 	for i := 0; i < n; i++ {
-		_ = h.Inject(0, frame)
+		_ = h.Ingest(0, frame)
 	}
 	waitFor(t, func() bool { return out.count() == n+1 }, "remaining packets")
 	if cGot.Load() == 0 {
@@ -482,7 +486,7 @@ func TestInstallGraphEndToEnd(t *testing.T) {
 	const n = 25
 	frame := buildFrame(t, 9900, nil)
 	for i := 0; i < n; i++ {
-		_ = h.Inject(0, frame)
+		_ = h.Ingest(0, frame)
 	}
 	waitFor(t, func() bool { return out.count() == n }, "graph traversal")
 	if aGot.Load() != n || bGot.Load() != n || cGot.Load() != n {
@@ -506,7 +510,7 @@ func TestLookupCacheAblation(t *testing.T) {
 		frame := buildFrame(t, 9999, []byte("cache"))
 		const n = 20
 		for i := 0; i < n; i++ {
-			_ = h.Inject(0, frame)
+			_ = h.Ingest(0, frame)
 		}
 		waitFor(t, func() bool { return out.count() == n }, "packets out (cache ablation)")
 		h.Stop()
@@ -523,13 +527,13 @@ func TestHostRestart(t *testing.T) {
 			Actions: []flowtable.Action{flowtable.Out(0)}})
 	})
 	frame := buildFrame(t, 1234, nil)
-	_ = h.Inject(0, frame)
+	_ = h.Ingest(0, frame)
 	waitFor(t, func() bool { return out.count() == 1 }, "first run")
 	h.Stop()
 	if err := h.Start(); err != nil {
 		t.Fatalf("restart: %v", err)
 	}
-	_ = h.Inject(0, frame)
+	_ = h.Ingest(0, frame)
 	waitFor(t, func() bool { return out.count() == 2 }, "after restart")
 }
 

@@ -1,33 +1,26 @@
 package dataplane
 
-// Driver ingress boundary — the seam internal/portio plugs into.
+// Driver ingress boundary: the one admission path into a host, and the
+// seam internal/portio plugs into.
 //
-// Inject is the in-process generator path: a refusal is the injector's
-// loss, returned as an error and kept out of every host counter.
-// Ingest is the wire path: a port driver hands the host a frame the
-// wire already delivered, so the frame must be accounted whether or
-// not it is admitted. Every Ingest-refused frame counts once in
-// RxPackets AND once in RxDrops (admitted frames are counted in
-// RxPackets by the RX thread when dequeued, like Inject's), which
-// extends the conservation identity to
+// Every frame enters through ingest — Ingest for one frame, IngestBurst
+// for a burst — and one rule accounts for it:
+//
+//   - A frame refused for what it is — its port has no ingress binding,
+//     it exceeds FrameCap, or packet.Parse rejects it — is consumed: it
+//     counts once in RxPackets and once in RxDrops and never enters the
+//     packet path (no zero-FlowKey descriptor reaches the miss path).
+//   - A frame refused for capacity — pool exhausted, NIC ring full, host
+//     stopped — touches no counter. It goes back to the caller with
+//     ErrIngestRefused, to retry or to count as its own loss.
+//   - An admitted frame counts in RxPackets when the RX thread dequeues
+//     it.
+//
+// Once the host is idle this gives, for non-parallel dispatch,
 //
 //	RxPackets = TxPackets + Drops + Overflows + TxDrops + RxDrops
 //
-// exactly once the host is idle (non-parallel dispatch, as before).
-// IngestBurst refines this for capacity refusals: frames past its
-// consumed prefix never touched the host, stay out of every counter,
-// and remain the driver's to retry or drop (drivers count such losses
-// in their own RxRefused).
-//
-// Unlike Inject, Ingest is strict about what it admits: a frame larger
-// than the pool frame cap, or one that does not parse as an Ethernet
-// frame, is counted in RxDrops and never enters the packet path — the
-// wire can deliver arbitrary garbage and the old "admit with a zero
-// FlowKey" fallback would hand packet.Parse leftovers to the miss path.
-// Frames arriving on a port with no ingress binding (a driver that was
-// never bound, or already drained) are refused the same way, which
-// gives late wire arrivals during driver teardown a meaning instead of
-// a silent drop.
+// exactly (HostStats.Drops explains the parallel fan-out exception).
 
 import (
 	"errors"
@@ -36,11 +29,13 @@ import (
 	"time"
 
 	"sdnfv/internal/flowtable"
+	"sdnfv/internal/mempool"
 	"sdnfv/internal/packet"
 )
 
-// Sentinel errors the ingest path classifies refusals with. All of them
-// are also counted in HostStats.RxDrops.
+// Sentinel errors the ingest path classifies refusals with. Frames
+// refused with the first three are counted in HostStats.RxDrops;
+// ErrIngestRefused frames are counted nowhere.
 var (
 	// ErrFrameOversize reports a frame larger than FrameCap.
 	ErrFrameOversize = errors.New("dataplane: frame exceeds pool frame cap")
@@ -51,13 +46,18 @@ var (
 	// ErrIngestRefused reports a capacity refusal: pool exhausted, NIC
 	// ring full, or host stopped.
 	ErrIngestRefused = errors.New("dataplane: ingest refused")
+
+	errPoolExhausted = fmt.Errorf("%w: %w", ErrIngestRefused, mempool.ErrExhausted)
+	errRingFull      = fmt.Errorf("%w: NIC ring full", ErrIngestRefused)
+	errHostStopped   = fmt.Errorf("%w: host stopped", ErrIngestRefused)
 )
 
 // DriverStats is a port driver's boundary telemetry: what crossed the
 // wire seam, and what died at it. The host merges registered drivers'
 // stats into HostStats.Ports; the counters are the driver's own and sit
-// outside the host conservation identity (RxRefused frames, for
-// example, also appear in HostStats.RxDrops).
+// outside the host conservation identity (RxRefused frames the host
+// refused for what they are, for example, also appear in
+// HostStats.RxDrops).
 type DriverStats struct {
 	// RxFrames/RxBytes count frames read off the wire and offered to
 	// the host ingress (including ones the host then refused).
@@ -186,151 +186,125 @@ func (h *Host) portDriverStats() []PortDriverStats {
 	return out
 }
 
-// Ingest delivers one wire frame into the host NIC on port. Unlike
-// Inject, every call is accounted: a refusal counts in both RxPackets
-// and RxDrops (see the package comment above for the identity), and
-// the returned error classifies it — ErrPortUnbound, ErrFrameOversize,
-// ErrMalformedFrame, or ErrIngestRefused. The frame is copied; the
-// caller keeps ownership of the slice. Safe for concurrent use.
+// Ingest delivers one frame into the host NIC on port: IngestBurst for
+// a burst of one. It returns the frame's refusal, if any:
+// ErrPortUnbound, ErrFrameOversize or ErrMalformedFrame (counted in
+// RxPackets and RxDrops), or ErrIngestRefused (counted nowhere; the
+// caller may retry). The frame is copied; the caller keeps ownership.
+// Safe for concurrent use.
 func (h *Host) Ingest(port int, frame []byte) error {
-	if !h.ingress.Load().has(port) {
-		h.countRxDrop(1)
-		return fmt.Errorf("%w %d", ErrPortUnbound, port)
-	}
-	d, err := h.admit(port, frame)
-	if err != nil {
-		h.countRxDrop(1)
-		return err
-	}
-	h.injectMu.Lock()
-	if h.stop.Load() {
-		// Same latch as Inject: Stop's drain must observe every
-		// enqueued descriptor, so frames arriving after the stop flag
-		// are refused under injectMu (and, being wire frames, counted).
-		h.injectMu.Unlock()
-		h.release(d.H)
-		h.countRxDrop(1)
-		return fmt.Errorf("%w: host stopped", ErrIngestRefused)
-	}
-	ok := h.nicIn.Enqueue(d)
-	h.injectMu.Unlock()
-	if !ok {
-		h.release(d.H)
-		h.countRxDrop(1)
-		return fmt.Errorf("%w: NIC ring full", ErrIngestRefused)
-	}
-	return nil
+	_, _, err := h.ingest(port, [][]byte{frame})
+	return err
 }
 
-// IngestBurst delivers a burst of wire frames into port in order,
-// amortizing the inject lock across ring-sized sub-batches. It returns
-// (admitted, consumed): frames[:consumed] are fully accounted — either
-// admitted to the packet path or counted in RxPackets+RxDrops
-// (malformed, oversize) — while frames[consumed:] were stopped by a
-// capacity refusal (pool exhausted, NIC ring full, host stopped) and
-// touched no counter at all, so the driver may re-offer them once the
-// backlog drains instead of losing a whole burst to a momentary stall.
-// An unbound port consumes (and counts) the entire burst: retrying a
-// dead port is pointless. Frame slices are copied, not retained.
+// IngestBurst delivers frames into port in order and returns (admitted,
+// consumed). frames[:consumed] are settled: admitted, or refused for
+// what they are and counted. frames[consumed:] met a capacity refusal,
+// touched no counter, and stay the caller's to re-offer once the
+// backlog drains. An unbound port consumes (and counts) the whole
+// burst: retrying a dead port is pointless. Frames are copied, not
+// retained. Safe for concurrent use.
 func (h *Host) IngestBurst(port int, frames [][]byte) (admitted, consumed int) {
-	if len(frames) == 0 {
-		return 0, 0
-	}
-	if !h.ingress.Load().has(port) {
-		h.countRxDrop(uint64(len(frames)))
-		return 0, len(frames)
-	}
-	var (
-		batch [rxBatch]Desc
-		idxs  [rxBatch]int
-		n     int
-		// drops holds malformed-frame indices; they are counted only if
-		// they land inside the consumed prefix (a capacity stop hands the
-		// tail back to the driver uncounted, malformed frames included).
-		drops   []int
-		stopped = false
-	)
-	flush := func(scanned int) {
-		if n == 0 {
-			if !stopped {
-				consumed = scanned
-			}
-			return
-		}
-		h.injectMu.Lock()
-		q := 0
-		if !h.stop.Load() {
-			q = h.nicIn.EnqueueBatch(batch[:n])
-		}
-		h.injectMu.Unlock()
-		for i := q; i < n; i++ {
-			h.release(batch[i].H)
-		}
-		admitted += q
-		if q < n {
-			// Ring refused batch[q:]; the first rejected frame marks the
-			// consumed boundary — everything past it is the driver's again.
-			stopped = true
-			consumed = idxs[q]
-		} else {
-			consumed = scanned
-		}
-		n = 0
-	}
-	for i, f := range frames {
-		d, err := h.admit(port, f)
-		if err != nil {
-			if errors.Is(err, ErrIngestRefused) {
-				flush(i)
-				if !stopped {
-					stopped = true
-					consumed = i
-				}
-				break
-			}
-			drops = append(drops, i)
-			continue
-		}
-		batch[n], idxs[n] = d, i
-		n++
-		if n == len(batch) {
-			flush(i + 1)
-			if stopped {
-				break
-			}
-		}
-	}
-	if !stopped {
-		flush(len(frames))
-	}
-	nd := uint64(0)
-	for _, idx := range drops {
-		if idx < consumed {
-			nd++
-		}
-	}
-	if nd > 0 {
-		h.countRxDrop(nd)
-	}
+	admitted, consumed, _ = h.ingest(port, frames)
 	return admitted, consumed
 }
 
-// countRxDrop records a wire frame the boundary refused: once in
-// RxPackets (the wire delivered it) and once in RxDrops.
+// ingestBatch is how many admitted descriptors ingest stages before
+// handing them to the NIC ring under one injectMu acquisition.
+const ingestBatch = 32
+
+// ingest is the one admission path (see the package comment at the top
+// of this file for its accounting rule). It stages admitted descriptors
+// and flushes the stage before settling a refused frame, so the
+// consumed prefix stays in order. err is the last refusal seen.
+func (h *Host) ingest(port int, frames [][]byte) (admitted, consumed int, err error) {
+	if !h.ingress.Load().has(port) {
+		h.countRxDrop(uint64(len(frames)))
+		return 0, len(frames), fmt.Errorf("%w %d", ErrPortUnbound, port)
+	}
+	var (
+		stage   [ingestBatch]Desc
+		n       int    // stage holds frames[consumed:consumed+n]
+		refused uint64 // frames consumed without being admitted
+	)
+	// The extra last pass flushes whatever the burst left staged.
+	for i := 0; i <= len(frames); i++ {
+		var ferr error
+		if i < len(frames) {
+			var d Desc
+			if d, ferr = h.admit(port, frames[i]); ferr == nil {
+				stage[n] = d
+				if n++; n < len(stage) {
+					continue
+				}
+			}
+		}
+		q, qerr := h.enqueue(stage[:n])
+		admitted += q
+		consumed += q
+		n = 0
+		if qerr != nil {
+			err = qerr
+			break
+		}
+		if ferr != nil {
+			err = ferr
+			if errors.Is(ferr, ErrIngestRefused) {
+				break
+			}
+			refused++
+			consumed++
+		}
+	}
+	if refused > 0 {
+		h.countRxDrop(refused)
+	}
+	return admitted, consumed, err
+}
+
+// enqueue hands staged descriptors to the RX thread and releases the
+// ones it could not take. The stop check shares injectMu with Stop's
+// ring drain, so every descriptor is either refused here or released by
+// the drain.
+func (h *Host) enqueue(stage []Desc) (int, error) {
+	if len(stage) == 0 {
+		return 0, nil
+	}
+	h.injectMu.Lock()
+	stopped := h.stop.Load()
+	q := 0
+	if !stopped {
+		q = h.nicIn.EnqueueBatch(stage)
+	}
+	h.injectMu.Unlock()
+	if q == len(stage) {
+		return q, nil
+	}
+	for i := q; i < len(stage); i++ {
+		h.release(stage[i].H)
+	}
+	if stopped {
+		return q, errHostStopped
+	}
+	return q, errRingFull
+}
+
+// countRxDrop records frames the boundary refused for what they are:
+// once in RxPackets (they reached the host) and once in RxDrops.
 func (h *Host) countRxDrop(n uint64) {
 	h.rxCount.Add(n)
 	h.rxDropCount.Add(n)
 }
 
 // admit copies frame into a pool buffer and builds its descriptor,
-// enforcing the strict wire-ingress checks (size cap, parseability).
+// enforcing the size cap and parseability.
 func (h *Host) admit(port int, frame []byte) (Desc, error) {
 	if len(frame) > h.cfg.BufSize {
 		return Desc{}, fmt.Errorf("%w: %dB > %dB", ErrFrameOversize, len(frame), h.cfg.BufSize)
 	}
 	hd, err := h.pool.Alloc()
 	if err != nil {
-		return Desc{}, fmt.Errorf("%w: %v", ErrIngestRefused, err)
+		return Desc{}, errPoolExhausted
 	}
 	buf, _ := h.pool.Buf(hd)
 	copy(buf, frame)

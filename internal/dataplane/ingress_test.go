@@ -9,57 +9,84 @@ import (
 	"sdnfv/internal/flowtable"
 )
 
-// TestIngestUnboundPort: wire frames for a port no driver has bound are
-// refused with ErrPortUnbound and counted in RxPackets+RxDrops — the
-// wire delivered them, so unlike a refused Inject they are this host's
-// loss.
-func TestIngestUnboundPort(t *testing.T) {
-	h := NewHost(Config{PoolSize: 16})
-	frame := buildFrame(t, 1000, nil)
-	if err := h.Ingest(5, frame); !errors.Is(err, ErrPortUnbound) {
-		t.Fatalf("Ingest on unbound port: err = %v, want ErrPortUnbound", err)
+// TestIngestRefusals is the one admission rule, class by class, through
+// both entry points. A frame refused for what it is is consumed and
+// counts once in RxPackets and once in RxDrops; a frame refused for
+// capacity is not consumed and touches no counter. Neither leaks a pool
+// buffer.
+func TestIngestRefusals(t *testing.T) {
+	valid := buildFrame(t, 1000, nil)
+	// fill ingests valid frames until the host refuses one for capacity.
+	fill := func(t *testing.T, h *Host) {
+		for h.Ingest(0, valid) == nil {
+		}
 	}
-	st := h.Stats()
-	if st.RxPackets != 1 || st.RxDrops != 1 {
-		t.Fatalf("rx=%d rxdrops=%d, want 1/1", st.RxPackets, st.RxDrops)
+	cases := []struct {
+		name  string
+		cfg   Config
+		setup func(t *testing.T, h *Host)
+		frame []byte
+		want  error // the class; counted unless ErrIngestRefused
+	}{
+		{name: "unbound", setup: func(_ *testing.T, h *Host) { h.UnbindIngress(0) },
+			frame: valid, want: ErrPortUnbound},
+		{name: "oversize", cfg: Config{BufSize: 256}, frame: make([]byte, 257), want: ErrFrameOversize},
+		{name: "malformed", frame: []byte{0xde, 0xad, 0xbe, 0xef}, want: ErrMalformedFrame},
+		{name: "empty", frame: nil, want: ErrMalformedFrame},
+		// The host is never started, so nothing drains what fill admits.
+		{name: "pool exhausted", cfg: Config{PoolSize: 4, RingSize: 64}, setup: fill,
+			frame: valid, want: errPoolExhausted},
+		{name: "ring full", cfg: Config{PoolSize: 64, RingSize: 8}, setup: fill,
+			frame: valid, want: errRingFull},
+		{name: "stopped", setup: func(t *testing.T, h *Host) {
+			if err := h.Start(); err != nil {
+				t.Fatal(err)
+			}
+			h.Stop()
+		}, frame: valid, want: errHostStopped},
 	}
-	// Binding then unbinding restores the refusal.
-	h.BindIngress(5)
-	h.UnbindIngress(5)
-	if err := h.Ingest(5, frame); !errors.Is(err, ErrPortUnbound) {
-		t.Fatalf("Ingest after unbind: err = %v, want ErrPortUnbound", err)
-	}
-}
-
-// TestIngestHardening is the malformed-wire regression test: oversize,
-// truncated-garbage, and empty frames arriving through the driver
-// boundary are classified, counted in RxDrops, and never admitted to
-// the packet path (no pool buffer leaks, no zero-key descriptors).
-func TestIngestHardening(t *testing.T) {
-	h := NewHost(Config{PoolSize: 16, BufSize: 256})
-	h.BindIngress(0)
-
-	oversize := make([]byte, 257)
-	if err := h.Ingest(0, oversize); !errors.Is(err, ErrFrameOversize) {
-		t.Fatalf("oversize: err = %v, want ErrFrameOversize", err)
-	}
-	// Garbage shorter than an Ethernet header: packet.Parse must reject
-	// it at the boundary instead of admitting a zero-key descriptor.
-	if err := h.Ingest(0, []byte{0xde, 0xad, 0xbe, 0xef}); !errors.Is(err, ErrMalformedFrame) {
-		t.Fatalf("short garbage: err = %v, want ErrMalformedFrame", err)
-	}
-	if err := h.Ingest(0, nil); !errors.Is(err, ErrMalformedFrame) {
-		t.Fatalf("empty frame: err = %v, want ErrMalformedFrame", err)
-	}
-	// Host not started: even a well-formed frame is refused (stopped).
-	// NewHost leaves stop unlatched until the first Stop, so start/stop
-	// to latch it.
-	st := h.Stats()
-	if st.RxPackets != 3 || st.RxDrops != 3 {
-		t.Fatalf("rx=%d rxdrops=%d, want 3/3", st.RxPackets, st.RxDrops)
-	}
-	if st.Pool.InUse != 0 {
-		t.Fatalf("refused frames leaked %d pool buffers", st.Pool.InUse)
+	for _, tc := range cases {
+		counted := !errors.Is(tc.want, ErrIngestRefused)
+		var wantDelta uint64
+		if counted {
+			wantDelta = 1
+		}
+		for _, burst := range []bool{false, true} {
+			entry := "Ingest"
+			if burst {
+				entry = "IngestBurst"
+			}
+			t.Run(tc.name+"/"+entry, func(t *testing.T) {
+				cfg := tc.cfg
+				if cfg.PoolSize == 0 {
+					cfg.PoolSize = 16
+				}
+				h := NewHost(cfg)
+				h.BindIngress(0)
+				if tc.setup != nil {
+					tc.setup(t, h)
+				}
+				before := h.Stats()
+				if burst {
+					adm, cons := h.IngestBurst(0, [][]byte{tc.frame})
+					if adm != 0 || cons != int(wantDelta) {
+						t.Fatalf("IngestBurst = (%d, %d), want (0, %d)", adm, cons, wantDelta)
+					}
+				} else if err := h.Ingest(0, tc.frame); !errors.Is(err, tc.want) {
+					t.Fatalf("Ingest: err = %v, want %v", err, tc.want)
+				}
+				after := h.Stats()
+				if d := after.RxPackets - before.RxPackets; d != wantDelta {
+					t.Fatalf("RxPackets delta = %d, want %d", d, wantDelta)
+				}
+				if d := after.RxDrops - before.RxDrops; d != wantDelta {
+					t.Fatalf("RxDrops delta = %d, want %d", d, wantDelta)
+				}
+				if after.Pool.InUse != before.Pool.InUse {
+					t.Fatalf("refused frame leaked: pool in use %d -> %d", before.Pool.InUse, after.Pool.InUse)
+				}
+			})
+		}
 	}
 }
 
@@ -87,21 +114,17 @@ func TestIngestAccountingIdentity(t *testing.T) {
 	garbage := []byte{1, 2, 3}
 	const n = 500
 	for i := 0; i < n; i++ {
+		frame, want := valid, error(nil)
 		if i%5 == 4 {
-			if err := h.Ingest(0, garbage); err == nil {
-				t.Fatal("garbage frame admitted")
-			}
-			continue
+			frame, want = garbage, ErrMalformedFrame
 		}
-		for {
-			err := h.Ingest(0, valid)
-			if err == nil {
-				break
-			}
-			if !errors.Is(err, ErrIngestRefused) {
-				t.Fatalf("valid frame refused with %v", err)
-			}
+		// A full pool refuses even garbage for capacity: retry those.
+		err := h.Ingest(0, frame)
+		for ; errors.Is(err, ErrIngestRefused); err = h.Ingest(0, frame) {
 			time.Sleep(time.Microsecond)
+		}
+		if !errors.Is(err, want) {
+			t.Fatalf("frame %d: err = %v, want %v", i, err, want)
 		}
 	}
 	if !h.WaitIdle(10 * time.Second) {
@@ -114,8 +137,8 @@ func TestIngestAccountingIdentity(t *testing.T) {
 	if st.RxPackets != sum {
 		t.Fatalf("identity broken: rx=%d sum=%d", st.RxPackets, sum)
 	}
-	if st.RxDrops < n/5 {
-		t.Fatalf("rxdrops=%d, want >= %d (garbage frames + retried refusals)", st.RxDrops, n/5)
+	if st.RxDrops != n/5 {
+		t.Fatalf("rxdrops=%d, want %d (the garbage frames; capacity refusals are not counted)", st.RxDrops, n/5)
 	}
 }
 

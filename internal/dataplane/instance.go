@@ -56,9 +56,9 @@ type Instance struct {
 
 	stop atomic.Bool
 	// drain asks the NF goroutine to exit once a full pass over its input
-	// rings finds them empty (graceful retirement: every accepted packet
-	// is processed and handed to the TX thread first). Set by RemoveNF
-	// after producers stopped offering.
+	// rings, begun after the request, finds them empty (graceful
+	// retirement: every accepted packet is processed and handed to the
+	// TX thread first). Set by RemoveNF after producers stopped offering.
 	drain atomic.Bool
 	// done is closed when the NF goroutine exits; recreated per launch.
 	done chan struct{}
@@ -186,6 +186,10 @@ func (in *Instance) run(h *Host) {
 	s := newNFScratch()
 	descs, pkts, decs := s.descs, s.pkts, s.decs
 	for !in.stop.Load() {
+		// Read the drain request before the pass: only a pass that began
+		// after it and found every ring empty proves no producer's last
+		// offer is still queued.
+		draining := in.drain.Load()
 		progressed := false
 		for _, r := range in.in {
 			n := r.DequeueBatch(descs)
@@ -242,7 +246,7 @@ func (in *Instance) run(h *Host) {
 			in.ctx.FlushEmits()
 		}
 		if !progressed {
-			if in.drain.Load() {
+			if draining {
 				// Graceful retirement: producers have stopped offering and
 				// a full pass found every input ring empty, so all accepted
 				// packets are processed and on the out ring. Exit.

@@ -72,6 +72,7 @@ func TestFullHierarchyMissToFlow(t *testing.T) {
 		Control: ctl,
 	}
 	h := dataplane.NewHost(cfg)
+	h.BindIngress(0)
 	fw := &nfs.Firewall{DefaultAllow: true}
 	counter := &nfs.Counter{}
 	if _, err := h.AddNF(svcFW, fw, 0); err != nil {
@@ -95,7 +96,7 @@ func TestFullHierarchyMissToFlow(t *testing.T) {
 	}
 	const n = 50
 	for i := 0; i < n; i++ {
-		for h.Inject(0, frame) != nil {
+		for h.Ingest(0, frame) != nil {
 			time.Sleep(5 * time.Microsecond)
 		}
 	}
@@ -112,7 +113,7 @@ func TestFullHierarchyMissToFlow(t *testing.T) {
 	spec2 := traffic.Flow(2, 256, 0)
 	frame2, _ := factory.Frame(spec2, 0)
 	missesBefore := h.Stats().Misses
-	for h.Inject(0, frame2) != nil {
+	for h.Ingest(0, frame2) != nil {
 		time.Sleep(5 * time.Microsecond)
 	}
 	waitCond(t, func() bool { return out.Load() == n+1 }, "second flow delivered")
@@ -170,6 +171,7 @@ func TestCrossLayerMessageReachesApp(t *testing.T) {
 		PoolSize: 256, TXThreads: 1,
 		Control: ctl,
 	})
+	h.BindIngress(0)
 	sent := false
 	nfA := &nf.BatchAdapter{FnName: "a", RO: true,
 		ProcessBatchF: func(ctx *nf.Context, batch []nf.Packet, _ []nf.Decision) {
@@ -204,7 +206,7 @@ func TestCrossLayerMessageReachesApp(t *testing.T) {
 	}
 	buf := make([]byte, 256)
 	n, _ := b.Build(buf, []byte("x"))
-	for h.Inject(0, buf[:n]) != nil {
+	for h.Ingest(0, buf[:n]) != nil {
 		time.Sleep(5 * time.Microsecond)
 	}
 	waitCond(t, func() bool { return out.Load() >= 1 }, "packet delivered")
@@ -234,6 +236,7 @@ func TestParallelPriorityConflict(t *testing.T) {
 		svcY flowtable.ServiceID = 4
 	)
 	h := dataplane.NewHost(dataplane.Config{PoolSize: 256, TXThreads: 1})
+	h.BindIngress(0)
 	var xGot, yGot atomic.Int64
 	mk := func(dest flowtable.ServiceID) nf.BatchFunction {
 		return &nf.BatchAdapter{FnName: "par", RO: true,
@@ -284,7 +287,7 @@ func TestParallelPriorityConflict(t *testing.T) {
 	frame, _ := factory.Frame(traffic.Flow(5, 256, 0), 0)
 	const n = 20
 	for i := 0; i < n; i++ {
-		for h.Inject(0, frame) != nil {
+		for h.Ingest(0, frame) != nil {
 			time.Sleep(5 * time.Microsecond)
 		}
 	}
@@ -306,6 +309,7 @@ func TestSkipMeAndRequestMe(t *testing.T) {
 		svcC flowtable.ServiceID = 3
 	)
 	h := dataplane.NewHost(dataplane.Config{PoolSize: 256, TXThreads: 1})
+	h.BindIngress(0)
 	var bGot, cGot atomic.Int64
 	pass := func(c *atomic.Int64) nf.BatchFunction {
 		return &nf.BatchAdapter{FnName: "p", RO: true,
@@ -349,7 +353,7 @@ func TestSkipMeAndRequestMe(t *testing.T) {
 	frame, _ := factory.Frame(traffic.Flow(6, 256, 0), 0)
 	send := func(k int) {
 		for i := 0; i < k; i++ {
-			for h.Inject(0, frame) != nil {
+			for h.Ingest(0, frame) != nil {
 				time.Sleep(5 * time.Microsecond)
 			}
 		}

@@ -129,6 +129,7 @@ func TestCloseRunsOnHostStop(t *testing.T) {
 
 func TestCloseOnReplacementViaOrchestrator(t *testing.T) {
 	h := dataplane.NewHost(dataplane.Config{PoolSize: 64, TXThreads: 1})
+	h.BindIngress(0)
 	var oldClosed atomic.Int32
 	if _, err := h.AddNF(lcSvc, &nf.BatchAdapter{FnName: "v1", RO: true,
 		CloseF: func() error { oldClosed.Add(1); return nil }}, 0); err != nil {
@@ -170,7 +171,7 @@ func TestCloseOnReplacementViaOrchestrator(t *testing.T) {
 	h.BindDefault(func(int, []byte, *dataplane.Desc) { out.Add(1) })
 	factory := traffic.NewFactory()
 	frame, _ := factory.Frame(traffic.Flow(1, 256, 0), 0)
-	if err := h.Inject(0, frame); err != nil {
+	if err := h.Ingest(0, frame); err != nil {
 		t.Fatal(err)
 	}
 	waitCond(t, func() bool { return out.Load() == 1 }, "packet through replaced NF")
@@ -234,6 +235,7 @@ func TestFlowStateSurvivesRestartAndReplacement(t *testing.T) {
 // double-releasing) descriptors. Run under -race in CI.
 func TestConcurrentStopSafe(t *testing.T) {
 	h := dataplane.NewHost(dataplane.Config{PoolSize: 64, TXThreads: 1})
+	h.BindIngress(0)
 	if _, err := h.AddNF(lcSvc, &nf.BatchAdapter{FnName: "noop", RO: true}, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +246,7 @@ func TestConcurrentStopSafe(t *testing.T) {
 	factory := traffic.NewFactory()
 	frame, _ := factory.Frame(traffic.Flow(1, 256, 0), 0)
 	for i := 0; i < 20; i++ {
-		_ = h.Inject(0, frame)
+		_ = h.Ingest(0, frame)
 	}
 	var wg sync.WaitGroup
 	for i := 0; i < 3; i++ {
@@ -266,6 +268,7 @@ func TestStopMidBurstReleasesDescriptorsOnce(t *testing.T) {
 	h := dataplane.NewHost(dataplane.Config{
 		PoolSize: 64, RingSize: 4, TXThreads: 1, SpinLimit: 16,
 	})
+	h.BindIngress(0)
 	gate := make(chan struct{})
 	var entered atomic.Int32
 	var once sync.Once
@@ -288,7 +291,7 @@ func TestStopMidBurstReleasesDescriptorsOnce(t *testing.T) {
 	injected := 0
 	deadline := time.Now().Add(2 * time.Second)
 	for injected < 24 && time.Now().Before(deadline) {
-		if err := h.Inject(0, frame); err != nil {
+		if err := h.Ingest(0, frame); err != nil {
 			if entered.Load() > 0 {
 				break // TX blocked and everything downstream is full
 			}

@@ -2,6 +2,8 @@ package dataplane
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -76,7 +78,7 @@ func TestScaleStatePreservedQuiesced(t *testing.T) {
 		for p := 0; p < perRound; p++ {
 			for f := 0; f < flows; f++ {
 				frame := flowFrame(t, f)
-				waitFor(t, func() bool { return h.Inject(0, frame) == nil }, "inject")
+				waitFor(t, func() bool { return h.Ingest(0, frame) == nil }, "inject")
 			}
 		}
 		waitFor(t, func() bool { return out.count() == round*perRound*flows }, "round delivered")
@@ -150,7 +152,7 @@ func TestRemoveNFDuringTraffic(t *testing.T) {
 				return
 			default:
 			}
-			if h.Inject(0, frames[i%flows]) == nil {
+			if h.Ingest(0, frames[i%flows]) == nil {
 				injected.Add(1)
 			}
 			i++
@@ -198,7 +200,7 @@ func TestRemoveNFDuringTraffic(t *testing.T) {
 		t.Fatalf("restart: %v", err)
 	}
 	pre := out.count()
-	waitFor(t, func() bool { return h.Inject(0, frames[0]) == nil }, "inject after restart")
+	waitFor(t, func() bool { return h.Ingest(0, frames[0]) == nil }, "inject after restart")
 	waitFor(t, func() bool { return out.count() == pre+1 }, "delivery after restart")
 }
 
@@ -210,7 +212,7 @@ func TestRuntimeAddNFReceivesTraffic(t *testing.T) {
 	})
 	frame := flowFrame(t, 1)
 	for i := 0; i < 10; i++ {
-		waitFor(t, func() bool { return h.Inject(0, frame) == nil }, "inject")
+		waitFor(t, func() bool { return h.Ingest(0, frame) == nil }, "inject")
 	}
 	waitFor(t, func() bool { return out.count() == 10 }, "first batch")
 
@@ -223,7 +225,7 @@ func TestRuntimeAddNFReceivesTraffic(t *testing.T) {
 	}
 	// Default round-robin: both replicas must now see traffic.
 	for i := 0; i < 40; i++ {
-		waitFor(t, func() bool { return h.Inject(0, frame) == nil }, "inject")
+		waitFor(t, func() bool { return h.Ingest(0, frame) == nil }, "inject")
 	}
 	waitFor(t, func() bool { return out.count() == 50 }, "second batch")
 	for _, rs := range h.ReplicaStats(svcA) {
@@ -344,7 +346,7 @@ func TestParJoinRoundRobinAfterJoin(t *testing.T) {
 	const n = 40
 	frame := buildFrame(t, 9100, []byte("join"))
 	for i := 0; i < n; i++ {
-		waitFor(t, func() bool { return h.Inject(0, frame) == nil }, "inject")
+		waitFor(t, func() bool { return h.Ingest(0, frame) == nil }, "inject")
 	}
 	waitFor(t, func() bool { return out.count() == n }, "joined packets out")
 	a, b := got[0].Load(), got[1].Load()
@@ -381,7 +383,7 @@ func TestOverflowCounterDistinct(t *testing.T) {
 	injected := 0
 	// Keep offering load until the blocked replica's rings overflow.
 	waitFor(t, func() bool {
-		if h.Inject(0, frame) == nil {
+		if h.Ingest(0, frame) == nil {
 			injected++
 		}
 		return h.Stats().Overflows > 0
@@ -401,6 +403,86 @@ func TestOverflowCounterDistinct(t *testing.T) {
 	}, "accounting after release")
 	if !h.WaitIdle(5 * time.Second) {
 		t.Fatalf("leak: %+v", h.Pool().Stats())
+	}
+}
+
+// TestOverflowsAcrossRemoveNF retires a replica while its rings
+// overflow, with a goroutine polling Stats. Overflows must never
+// decrease: the victim's count moves to the retired total in the same
+// critical section that drops it from the replica sum. Once idle the
+// conservation identity must balance.
+func TestOverflowsAcrossRemoveNF(t *testing.T) {
+	h, _ := startHost(t, Config{PoolSize: 512, RingSize: 16}, func(h *Host) {
+		for i := 0; i < 2; i++ {
+			if _, err := h.AddNF(svcA, &slowNF{d: 20 * time.Microsecond}, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		mustAdd(t, h, flowtable.Rule{Scope: flowtable.Port(0), Match: flowtable.MatchAll,
+			Actions: []flowtable.Action{flowtable.Forward(svcA)}})
+		mustAdd(t, h, flowtable.Rule{Scope: svcA, Match: flowtable.MatchAll,
+			Actions: []flowtable.Action{flowtable.Out(1)}})
+	})
+	frame := buildFrame(t, 9300, nil)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { // generator: round robin keeps both replicas' rings full
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if h.Ingest(0, frame) != nil {
+				runtime.Gosched()
+			}
+		}
+	}()
+	go func() { // poller
+		defer wg.Done()
+		var last uint64
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			o := h.Stats().Overflows
+			if o < last {
+				t.Errorf("Overflows went back from %d to %d", last, o)
+				return
+			}
+			last = o
+		}
+	}()
+	survivorOverflows := func() uint64 { return h.ReplicaStats(svcA)[0].OverflowDrops }
+	waitFor(t, func() bool {
+		for _, rs := range h.ReplicaStats(svcA) {
+			if rs.OverflowDrops == 0 {
+				return false
+			}
+		}
+		return true
+	}, "both replicas overflowing")
+	if err := h.RemoveNF(svcA, 1); err != nil {
+		t.Fatal(err)
+	}
+	after := survivorOverflows()
+	waitFor(t, func() bool { return survivorOverflows() > after }, "survivor still overflowing")
+	close(stop)
+	wg.Wait()
+	if !h.WaitIdle(10 * time.Second) {
+		t.Fatalf("not idle: %+v", h.Pool().Stats())
+	}
+	st := h.Stats()
+	if len(st.Replicas) != 1 || st.Overflows <= st.Replicas[0].OverflowDrops {
+		t.Fatalf("retired replica's overflows missing: total %d, replicas %+v", st.Overflows, st.Replicas)
+	}
+	if sum := st.TxPackets + st.Drops + st.Overflows + st.TxDrops + st.RxDrops; st.RxPackets != sum {
+		t.Fatalf("identity broken: rx=%d tx=%d drops=%d overflows=%d txdrops=%d rxdrops=%d",
+			st.RxPackets, st.TxPackets, st.Drops, st.Overflows, st.TxDrops, st.RxDrops)
 	}
 }
 
@@ -483,7 +565,7 @@ func TestReplicaStatsTelemetry(t *testing.T) {
 	frame := flowFrame(t, 3)
 	const n = 64
 	for i := 0; i < n; i++ {
-		waitFor(t, func() bool { return h.Inject(0, frame) == nil }, "inject")
+		waitFor(t, func() bool { return h.Ingest(0, frame) == nil }, "inject")
 	}
 	waitFor(t, func() bool { return out.count() == n }, "delivered")
 	reps := h.ReplicaStats(svcA)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"strings"
 	"time"
 
@@ -135,13 +136,14 @@ func Churn(seed int64) *ChurnResult {
 	}
 	defer host.Stop()
 
+	host.BindIngress(0)
 	factory := traffic.NewFactory()
 	inject := func(id int) {
 		frame, err := factory.Frame(traffic.Flow(id, 128, 0), 0)
 		if err != nil {
 			panic(err)
 		}
-		for host.Inject(0, frame) != nil {
+		for errors.Is(host.Ingest(0, frame), dataplane.ErrIngestRefused) {
 			time.Sleep(5 * time.Microsecond)
 		}
 	}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"sync/atomic"
@@ -273,6 +274,7 @@ func Cluster(seed int64) *ClusterResult {
 	}
 	defer fab.Stop()
 
+	hosts[dpA].BindIngress(ingressPt)
 	factory := traffic.NewFactory()
 	inject := func(n int) uint64 {
 		var sent uint64
@@ -282,13 +284,10 @@ func Cluster(seed int64) *ClusterResult {
 			if err != nil {
 				panic(err)
 			}
-			for {
-				if err := hosts[dpA].Inject(ingressPt, frame); err == nil {
-					sent++
-					break
-				}
+			for errors.Is(hosts[dpA].Ingest(ingressPt, frame), dataplane.ErrIngestRefused) {
 				time.Sleep(2 * time.Microsecond)
 			}
+			sent++
 			if i%8 == 7 {
 				// Pace to ~150 kpps so the measurement captures per-hop
 				// chain latency, not self-inflicted queueing.
@@ -363,6 +362,7 @@ func clusterBaseline(seed int64, sigs *acmatch.Matcher, flows, frameBytes, n int
 		panic(err)
 	}
 	h := dataplane.NewHost(dataplane.Config{PoolSize: 4096, RingSize: 1024, TXThreads: 1})
+	h.BindIngress(0)
 	if _, err := h.AddNF(svcFW, &nfs.Firewall{DefaultAllow: true}, 0); err != nil {
 		panic(err)
 	}
@@ -395,10 +395,7 @@ func clusterBaseline(seed int64, sigs *acmatch.Matcher, flows, frameBytes, n int
 		if err != nil {
 			panic(err)
 		}
-		for {
-			if err := h.Inject(0, frame); err == nil {
-				break
-			}
+		for errors.Is(h.Ingest(0, frame), dataplane.ErrIngestRefused) {
 			time.Sleep(2 * time.Microsecond)
 		}
 		if i%8 == 7 {

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"sync/atomic"
@@ -243,6 +244,7 @@ func Reconcile(seed int64) *ReconcileResult {
 	res.TicksFromScratch = converge(100)
 
 	// --- Phase 1 traffic through the spec's preferred placement.
+	hosts["host-A"].BindIngress(sp.Ingress.Port)
 	factory := traffic.NewFactory()
 	inject := func(n int) uint64 {
 		var sent uint64
@@ -252,13 +254,10 @@ func Reconcile(seed int64) *ReconcileResult {
 			if err != nil {
 				panic(err)
 			}
-			for {
-				if err := hosts["host-A"].Inject(sp.Ingress.Port, frame); err == nil {
-					sent++
-					break
-				}
+			for errors.Is(hosts["host-A"].Ingest(sp.Ingress.Port, frame), dataplane.ErrIngestRefused) {
 				time.Sleep(2 * time.Microsecond)
 			}
+			sent++
 			if i%8 == 7 {
 				time.Sleep(30 * time.Microsecond)
 			}

@@ -118,6 +118,7 @@ func Scale(seed int64) *ScaleResult {
 		PoolSize: 8192, RingSize: 512, TXThreads: 1,
 		LoadBalancer: dataplane.LBFlowHash,
 	})
+	host.BindIngress(0)
 	var delivered atomic.Uint64
 	var winHist atomic.Pointer[metrics.Histogram]
 	winHist.Store(metrics.NewHistogram())
@@ -220,7 +221,7 @@ func Scale(seed int64) *ScaleResult {
 		lastT = now
 		for sent < cum {
 			f := int(sent) % flows
-			_ = host.Inject(0, frames[f]) // failures count as shed load
+			_ = host.Ingest(0, frames[f]) // capacity refusals are shed load
 			sent++
 		}
 		for now >= nextSample {

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"os"
@@ -139,6 +140,7 @@ func (w *wireEnd) bindWirePorts() error {
 // the port-1 latency sink for frames returning from B.
 func newWireA() (*wireEnd, *metrics.Histogram, *atomic.Uint64, error) {
 	w := &wireEnd{host: dataplane.NewHost(wireHostConfig())}
+	w.host.BindIngress(0) // the generator's port
 	if _, err := w.host.AddNF(wireSvcFW, &nfs.Firewall{DefaultAllow: true}, 0); err != nil {
 		return nil, nil, nil, err
 	}
@@ -213,13 +215,10 @@ func wireInject(a *wireEnd, seed int64, n int) uint64 {
 		if err != nil {
 			panic(err)
 		}
-		for {
-			if err := a.host.Inject(0, frame); err == nil {
-				sent++
-				break
-			}
+		for errors.Is(a.host.Ingest(0, frame), dataplane.ErrIngestRefused) {
 			time.Sleep(2 * time.Microsecond)
 		}
+		sent++
 		if i%2 == 1 {
 			time.Sleep(50 * time.Microsecond)
 		}

@@ -165,20 +165,6 @@ func (t *Table) Sweep() []Evicted {
 	for si := range t.shards {
 		evicted = t.sweepShard(&t.shards[si], now, evicted)
 	}
-	var nIdle, nHard uint64
-	for _, ev := range evicted {
-		if ev.Reason == EvictHard {
-			nHard++
-		} else {
-			nIdle++
-		}
-	}
-	if nIdle > 0 {
-		t.evictedIdle.Add(nIdle)
-	}
-	if nHard > 0 {
-		t.evictedHard.Add(nHard)
-	}
 	t.sweeps.Add(1)
 	t.sweepNanos.Add(uint64(time.Since(start)))
 	return evicted
@@ -207,6 +193,7 @@ func (t *Table) sweepShard(sh *shard, now int64, evicted []Evicted) []Evicted {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	cur := sh.snap.Load()
+	first := len(evicted)
 	var next *snapshot
 	for scope, em := range cur.exact {
 		dead := 0
@@ -270,6 +257,19 @@ func (t *Table) sweepShard(sh *shard, now int64, evicted []Evicted) []Evicted {
 		}
 	}
 	if next != nil {
+		// Count before publishing: a reader that sees the shrunk shard
+		// also sees its evictions, so Adds == Rules + Deleted + Evicted
+		// holds exactly once the table is quiet.
+		var nIdle, nHard uint64
+		for _, ev := range evicted[first:] {
+			if ev.Reason == EvictHard {
+				nHard++
+			} else {
+				nIdle++
+			}
+		}
+		t.evictedIdle.Add(nIdle)
+		t.evictedHard.Add(nHard)
 		t.modifies.Add(1)
 		sh.snap.Store(next)
 	}

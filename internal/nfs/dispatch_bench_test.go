@@ -8,11 +8,10 @@ import (
 	"sdnfv/internal/packet"
 )
 
-// BenchmarkNFDispatch measures the NF dispatch cost per packet: the v1
-// per-packet shim (one interface call per packet) against the native
+// BenchmarkNFDispatch measures the NF dispatch cost per packet of the
 // batch interface (one call per burst), at the burst sizes the engine
 // actually produces. The out-array clear mirrors the engine's per-burst
-// zeroing, so both sides pay identical fixed costs. ns/op is per packet.
+// zeroing. ns/op is per packet.
 //
 //	go test -bench NFDispatch -benchmem ./internal/nfs
 func BenchmarkNFDispatch(b *testing.B) {
@@ -30,18 +29,6 @@ func BenchmarkNFDispatch(b *testing.B) {
 		b.Fatal(err)
 	}
 
-	// Per-packet equivalents of the native NFs, run through the shim.
-	ppNoop := nf.PerPacket(&nf.FuncAdapter{FnName: "noop", RO: true,
-		ProcessF: func(*nf.Context, *nf.Packet) nf.Decision { return nf.Default() }})
-	mkPPCounter := func(c *Counter) nf.BatchFunction {
-		return nf.PerPacket(&nf.FuncAdapter{FnName: "counter", RO: true,
-			ProcessF: func(_ *nf.Context, p *nf.Packet) nf.Decision {
-				c.packets.Add(1)
-				c.bytes.Add(uint64(len(p.View.Buf())))
-				return nf.Default()
-			}})
-	}
-
 	for _, burst := range []int{1, 8, 32, 64} {
 		batch := make([]nf.Packet, burst)
 		for i := range batch {
@@ -52,10 +39,8 @@ func BenchmarkNFDispatch(b *testing.B) {
 			name string
 			fn   nf.BatchFunction
 		}{
-			{"noop/shim", ppNoop},
-			{"noop/native", NoOp{}},
-			{"counter/shim", mkPPCounter(&Counter{})},
-			{"counter/native", &Counter{}},
+			{"noop", NoOp{}},
+			{"counter", &Counter{}},
 		}
 		for _, tc := range cases {
 			b.Run(fmt.Sprintf("%s/burst=%d", tc.name, burst), func(b *testing.B) {

@@ -82,8 +82,9 @@ func (d *ChanDriver) syncSink(_ int, data []byte, _ *dataplane.Desc) {
 
 // deliver is the in-process "wire write": hand one frame to the peer's
 // ingress, keeping both ends' boundary counters. Synchronous mode runs
-// this on the engine's TX thread, so a refusal is a drop — exactly the
-// unshaped fabric link's behavior (the peer's Ingest counts it).
+// this on the engine's TX thread, so a refusal is a drop, recorded in
+// the peer driver's RxRefused (and, for a frame refused for what it is,
+// in the peer host's RxDrops too).
 func (d *ChanDriver) deliver(frame []byte) {
 	p := d.peer
 	ref := p.ing.Load()

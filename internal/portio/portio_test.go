@@ -69,6 +69,7 @@ func newWirePair(t *testing.T, mkB func() portio.PortDriver, mkA func() portio.P
 	w := &wirePair{}
 	cfg := dataplane.Config{PoolSize: 512, RingSize: 256, TXThreads: 1}
 	w.ha = dataplane.NewHost(cfg)
+	w.ha.BindIngress(0)
 	w.hb = dataplane.NewHost(cfg)
 	mustAdd := func(h *dataplane.Host, scope flowtable.ServiceID, out int) {
 		t.Helper()
@@ -106,7 +107,7 @@ func (w *wirePair) send(t *testing.T, n int) {
 	frame := buildFrame(t, 7777, []byte("portio-test-payload"))
 	for i := 0; i < n; i++ {
 		for {
-			if err := w.ha.Inject(0, frame); err == nil {
+			if err := w.ha.Ingest(0, frame); err == nil {
 				break
 			}
 			time.Sleep(5 * time.Microsecond)

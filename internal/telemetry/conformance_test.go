@@ -123,9 +123,8 @@ func TestLiveHostScrape(t *testing.T) {
 	const svc flowtable.ServiceID = 10
 	h := dataplane.NewHost(dataplane.Config{PoolSize: 256, TXThreads: 1})
 	h.BindDefault(func(int, []byte, *dataplane.Desc) {})
-	fn := nf.PerPacket(&nf.FuncAdapter{FnName: "count", RO: true,
-		ProcessF: func(*nf.Context, *nf.Packet) nf.Decision { return nf.Default() }})
-	if _, err := h.AddNF(svc, fn, 0); err != nil {
+	h.BindIngress(0)
+	if _, err := h.AddNF(svc, &nf.BatchAdapter{FnName: "count", RO: true}, 0); err != nil {
 		t.Fatal(err)
 	}
 	mustAddRule(t, h, flowtable.Rule{Scope: flowtable.Port(0), Match: flowtable.MatchAll,
@@ -149,7 +148,7 @@ func TestLiveHostScrape(t *testing.T) {
 		t.Helper()
 		frame := buildTestFrame(t)
 		for i := 0; i < n; i++ {
-			if err := h.Inject(0, frame); err != nil {
+			if err := h.Ingest(0, frame); err != nil {
 				t.Fatal(err)
 			}
 		}
