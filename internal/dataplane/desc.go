@@ -7,8 +7,14 @@
 //
 //   - zero-copy packet exchange with per-buffer reference counts for
 //     parallel dispatch;
-//   - caching the flow-table lookup result inside the packet descriptor so
-//     downstream TX processing skips the hash lookup;
+//   - one flow-table lookup per hop, keyed by the 5-tuple parsed once at
+//     admission and carried in the descriptor, so no thread re-parses
+//     packet bytes. Unlike the paper (§4.2) the descriptor carries no
+//     looked-up entry: every scope has its own rule, so a carried entry
+//     would save no lookup and would go stale if the rule were rewritten
+//     while the packet sits in an NF. An NF that rewrites the 5-tuple
+//     steers with an explicit verb (as MemcachedProxy does with nf.Out),
+//     since lookups keep using the admission key;
 //   - automatic load balancing across NF replicas (round-robin,
 //     queue-depth, or flow-hash);
 //   - action conflict resolution for parallel NFs (drop > out > forward,
@@ -24,11 +30,13 @@ import (
 
 // Desc is the packet descriptor exchanged through rings. It carries the
 // buffer handle plus everything the manager needs to avoid touching the
-// packet bytes on the fast path: the parsed view, the 5-tuple, and (when
-// lookup caching is enabled) the flow-table entry governing the current
-// hop.
+// packet bytes on the fast path: the parsed view and the 5-tuple. Each
+// hop resolves its rule with one table lookup of (Scope, Key) when the
+// packet reaches it; no entry is carried between hops.
 type Desc struct {
-	H   mempool.Handle
+	H mempool.Handle
+	// Key is the 5-tuple parsed once at admission; every hop's flow-table
+	// lookup uses it, even if an NF rewrites the packet's headers.
 	Key packet.FlowKey
 	// View is the parsed header view (aliases the pool buffer).
 	View packet.View
@@ -39,9 +47,6 @@ type Desc struct {
 	// the TX thread.
 	Verb nf.Verb
 	Dest flowtable.ServiceID
-	// Entry is the cached flow-table entry for Scope (nil when caching is
-	// disabled or not yet resolved).
-	Entry *flowtable.Entry
 	// ArrivalNanos is the engine-clock RX timestamp.
 	ArrivalNanos int64
 	// parallel marks this descriptor as one copy of a parallel fan-out;

@@ -20,23 +20,19 @@ import (
 )
 
 // Config tunes a Host. Zero values select sensible defaults (see
-// fillDefaults).
+// fillDefaults). What is not here is fixed: each packet buffer holds
+// FrameCap (bufSize) bytes, an idle poll loop spins spinLimit times
+// before it yields, and each southbound exchange is bounded by
+// resolveTimeout.
 type Config struct {
 	// PoolSize is the number of packet buffers (the "huge page" budget).
 	PoolSize int
-	// BufSize is the byte capacity of each packet buffer.
-	BufSize int
 	// RingSize is the capacity of every descriptor ring.
 	RingSize int
 	// TXThreads is the number of TX "cores" draining NF output rings.
 	TXThreads int
 	// LoadBalancer selects the replica-selection policy.
 	LoadBalancer LBPolicy
-	// DisableLookupCache turns OFF descriptor-carried flow entries (§4.2
-	// "Caching flow table lookups"); used by the ablation benchmark.
-	DisableLookupCache bool
-	// SpinLimit is how many empty polls a thread performs before yielding.
-	SpinLimit int
 	// Control is the host's typed southbound endpoint (the control
 	// package API). The Flow Controller thread pipelines each burst of
 	// flow-table misses through Control.ResolveBatch off the critical
@@ -46,9 +42,6 @@ type Config struct {
 	// wire *control.Client satisfy it. When nil, miss packets are
 	// dropped and messages only take local effect.
 	Control control.Southbound
-	// ResolveTimeout bounds each southbound resolution batch; zero
-	// means 30 s.
-	ResolveTimeout time.Duration
 	// FlowIdleTimeout / FlowHardTimeout are the table-wide default rule
 	// timeouts applied to exact-match rules installed with zero
 	// timeouts (see flowtable.SetDefaultTimeouts). Zero keeps the
@@ -62,24 +55,25 @@ type Config struct {
 	FlowSweepInterval time.Duration
 }
 
+const (
+	// bufSize is the byte capacity of each packet buffer (FrameCap).
+	bufSize = 2048
+	// spinLimit is how many empty polls a thread performs before yielding.
+	spinLimit = 256
+	// resolveTimeout bounds each southbound exchange: a miss resolution
+	// batch or a flow-removed notification.
+	resolveTimeout = 30 * time.Second
+)
+
 func (c *Config) fillDefaults() {
 	if c.PoolSize == 0 {
 		c.PoolSize = 4096
-	}
-	if c.BufSize == 0 {
-		c.BufSize = 2048
 	}
 	if c.RingSize == 0 {
 		c.RingSize = 1024
 	}
 	if c.TXThreads == 0 {
 		c.TXThreads = 2
-	}
-	if c.SpinLimit == 0 {
-		c.SpinLimit = 256
-	}
-	if c.ResolveTimeout == 0 {
-		c.ResolveTimeout = 30 * time.Second
 	}
 }
 
@@ -255,7 +249,7 @@ func NewHost(cfg Config) *Host {
 	cfg.fillDefaults()
 	h := &Host{
 		cfg:      cfg,
-		pool:     mempool.New(cfg.PoolSize, cfg.BufSize),
+		pool:     mempool.New(cfg.PoolSize, bufSize),
 		table:    flowtable.New(),
 		services: make(map[flowtable.ServiceID][]*Instance),
 		nextIdx:  make(map[flowtable.ServiceID]int),
@@ -404,7 +398,7 @@ func (h *Host) observeSnap(producer int) *routeSnap {
 // snapshot at least as new as epoch. Caller holds lifeMu with the host
 // started, so the threads are guaranteed to keep iterating. A thread
 // stuck in a southbound resolution can delay this by up to
-// Config.ResolveTimeout.
+// resolveTimeout (30 s).
 func (h *Host) waitSnapObserved(epoch uint64) {
 	for i := range h.snapSeen {
 		for h.snapSeen[i].Load() < epoch {
@@ -1039,9 +1033,9 @@ func (h *Host) Instances() []*Instance {
 func (h *Host) pause(idle *int) {
 	*idle++
 	switch {
-	case *idle < h.cfg.SpinLimit:
+	case *idle < spinLimit:
 		// busy spin
-	case *idle < h.cfg.SpinLimit*16:
+	case *idle < spinLimit*16:
 		runtime.Gosched()
 	default:
 		time.Sleep(5 * time.Microsecond)
@@ -1190,12 +1184,6 @@ func (h *Host) fanOut(snap *routeSnap, d *Desc, e *flowtable.Entry, producer int
 	for _, inst := range targets {
 		cp := *d
 		cp.parallel = true
-		cp.Entry = nil
-		if !h.cfg.DisableLookupCache {
-			if me, err := h.table.Lookup(inst.Service, d.Key); err == nil {
-				cp.Entry = me
-			}
-		}
 		if !inst.offer(producer, cp) {
 			// Member queue full: overflow pressure on that replica (offer
 			// counted it). Account the member as done with the
@@ -1224,15 +1212,6 @@ func (h *Host) applyAction(snap *routeSnap, d *Desc, a flowtable.Action, produce
 		nd := *d
 		nd.parallel = false
 		nd.Verb = nf.VerbDefault
-		nd.Entry = nil
-		if !h.cfg.DisableLookupCache {
-			// Look ahead: resolve the entry governing the packet at its
-			// next scope and carry it in the descriptor so the TX thread
-			// skips the hash lookup (§4.2 "Caching flow table lookups").
-			if ne, err := h.table.Lookup(a.Dest, d.Key); err == nil {
-				nd.Entry = ne
-			}
-		}
 		if !inst.offer(producer, nd) {
 			// NF queue overflow: replica capacity pressure, not policy.
 			// offer counted it on the replica, the one source of
@@ -1337,42 +1316,18 @@ func (h *Host) pumpControl() bool {
 	}
 }
 
-// resolveEntry returns the flow-table entry at d's current scope, using
-// the descriptor cache when enabled. A nil entry with ok=true means the
-// flow has no rule (a miss); ok=false means the packet bytes could not be
-// parsed back into a flow key, so no lookup can be trusted — the caller
-// must drop rather than dispatch the malformed frame by a stale key.
+// resolveEntry returns the flow-table entry governing d at its current
+// scope, or nil on a miss. It is the hop's one lookup, keyed by the
+// 5-tuple parsed at admission, so the packet follows the rule current
+// when its NF finished, not the one current when it was dispatched.
 //
 //sdnfv:hotpath
-func (h *Host) resolveEntry(d *Desc) (e *flowtable.Entry, ok bool) {
-	if !h.cfg.DisableLookupCache && d.Entry != nil {
-		if h.table.EntryLive(d.Entry) {
-			return d.Entry, true
-		}
-		// The cached entry's lease expired while the packet was in
-		// flight. Its key is still trusted (set at RX), so fall through
-		// to a fresh table lookup: a concurrent reinstall may have
-		// produced a live replacement, and a true miss returns nil.
-		d.Entry = nil
-	}
-	if h.cfg.DisableLookupCache {
-		// Without descriptor caching the TX thread pays the full cost:
-		// re-extract the 5-tuple from the packet, then hash-lookup.
-		data, err := h.pool.Data(d.H)
-		if err != nil {
-			return nil, false
-		}
-		v, err := packet.Parse(data)
-		if err != nil {
-			return nil, false
-		}
-		d.Key = v.FlowKey()
-	}
+func (h *Host) resolveEntry(d *Desc) *flowtable.Entry {
 	e, err := h.table.Lookup(d.Scope, d.Key)
 	if err != nil {
-		return nil, true
+		return nil
 	}
-	return e, true
+	return e
 }
 
 // onFlowEvicted is the sweeper's eviction callback (cold path, sweeper
@@ -1413,22 +1368,9 @@ func (h *Host) onFlowEvicted(evs []flowtable.Evicted) {
 			Reason: reason,
 		}
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), h.cfg.ResolveTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), resolveTimeout)
 	defer cancel()
 	_ = h.cfg.Control.NotifyFlowRemoved(ctx, removals)
-}
-
-// dropUnparsed discards a descriptor whose packet bytes no longer parse.
-// A parallel member must still vote in its join — it votes Drop — or the
-// group's pending count would never reach zero.
-//
-//sdnfv:hotpath
-func (h *Host) dropUnparsed(snap *routeSnap, d *Desc, inst *Instance, producer int, rr *uint64) {
-	if d.parallel {
-		h.parJoin(snap, d, packAction(flowtable.Drop(), inst.Priority), producer, rr)
-		return
-	}
-	h.dropPacket(d)
 }
 
 // completeNF handles a descriptor returned by an NF: resolve its verb to a
@@ -1443,11 +1385,7 @@ func (h *Host) completeNF(snap *routeSnap, d *Desc, inst *Instance, producer int
 	case nf.VerbOut:
 		act = flowtable.Action{Type: flowtable.ActionOut, Dest: d.Dest}
 	case nf.VerbSendTo:
-		e, ok := h.resolveEntry(d)
-		if !ok {
-			h.dropUnparsed(snap, d, inst, producer, rr)
-			return
-		}
+		e := h.resolveEntry(d)
 		req := flowtable.Forward(d.Dest)
 		switch {
 		case d.parallel || (e != nil && e.Allows(req)):
@@ -1465,11 +1403,7 @@ func (h *Host) completeNF(snap *routeSnap, d *Desc, inst *Instance, producer int
 			return
 		}
 	default: // VerbDefault
-		e, ok := h.resolveEntry(d)
-		if !ok {
-			h.dropUnparsed(snap, d, inst, producer, rr)
-			return
-		}
+		e := h.resolveEntry(d)
 		if e == nil {
 			h.punt(d, producer)
 			return
@@ -1485,7 +1419,6 @@ func (h *Host) completeNF(snap *routeSnap, d *Desc, inst *Instance, producer int
 		h.parJoin(snap, d, packAction(act, inst.Priority), producer, rr)
 		return
 	}
-	d.Entry = nil
 	h.applyAction(snap, d, act, producer, rr)
 }
 
@@ -1527,7 +1460,6 @@ func (h *Host) parJoin(snap *routeSnap, d *Desc, packed mergedAction, producer i
 		return
 	}
 	d.parallel = false
-	d.Entry = nil
 	h.applyAction(snap, d, merged.action(), producer, rr)
 }
 
@@ -1600,7 +1532,7 @@ func (h *Host) fcLoop() {
 // first miss descriptors of s.batch are the misses; the scratch arrays
 // are reused as the request/result storage. Deliberately
 // NOT hotpath-annotated — it blocks on the controller for up to
-// Config.ResolveTimeout and allocates per southbound exchange, which is
+// resolveTimeout (30 s) and allocates per southbound exchange, which is
 // exactly the work the Flow Controller thread exists to keep off the
 // RX/TX threads.
 func (h *Host) resolveMisses(snap *routeSnap, s *burstScratch, miss, producer int, rr *uint64) {
@@ -1624,7 +1556,7 @@ func (h *Host) resolveMisses(snap *routeSnap, s *burstScratch, miss, producer in
 		}
 		s.slot[i] = j
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), h.cfg.ResolveTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), resolveTimeout)
 	h.cfg.Control.ResolveBatch(ctx, s.reqs[:uniq], s.results[:uniq])
 	cancel()
 	// Install every returned rule in one batched write, then re-route the

@@ -457,6 +457,75 @@ func TestCrossLayerChangeDefault(t *testing.T) {
 	}
 }
 
+// TestRuleRewriteReachesInFlightPacket checks that a packet held inside an
+// NF while its scope's rule changes leaves by the rule current when the NF
+// finishes: each hop resolves its rule when the packet reaches it, so no
+// entry looked up at dispatch can outlive a rewrite.
+func TestRuleRewriteReachesInFlightPacket(t *testing.T) {
+	cases := []struct {
+		name     string
+		rewrite  func(t *testing.T, h *Host, id uint64)
+		wantPort int // -1: no delivery, the packet takes the miss path
+	}{
+		{name: "default changed", wantPort: 2, rewrite: func(t *testing.T, h *Host, _ uint64) {
+			if n := h.Table().UpdateDefault(svcA, flowtable.MatchAll, flowtable.Out(2), true); n != 1 {
+				t.Fatalf("UpdateDefault changed %d rules, want 1", n)
+			}
+		}},
+		{name: "rule deleted", wantPort: -1, rewrite: func(t *testing.T, h *Host, id uint64) {
+			if err := h.Table().Delete(id); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			entered := make(chan struct{})
+			gate := make(chan struct{})
+			var id uint64
+			h, out := startHost(t, Config{}, func(h *Host) {
+				_, _ = h.AddNF(svcA, ppNF("held",
+					func(_ *nf.Context, _ *nf.Packet) nf.Decision {
+						close(entered)
+						<-gate
+						return nf.Default()
+					}), 0)
+				mustAdd(t, h, flowtable.Rule{Scope: flowtable.Port(0), Match: flowtable.MatchAll,
+					Actions: []flowtable.Action{flowtable.Forward(svcA)}})
+				var err error
+				id, err = h.Table().Add(flowtable.Rule{Scope: svcA, Match: flowtable.MatchAll,
+					Actions: []flowtable.Action{flowtable.Out(1), flowtable.Out(2)}})
+				if err != nil {
+					t.Fatal(err)
+				}
+			})
+			if err := h.Ingest(0, buildFrame(t, 9700, nil)); err != nil {
+				t.Fatal(err)
+			}
+			<-entered
+			misses := h.Stats().Misses
+			tc.rewrite(t, h, id)
+			close(gate)
+			if !h.WaitIdle(5 * time.Second) {
+				t.Fatalf("packet never left the host: %+v", h.Stats())
+			}
+			st := h.Stats()
+			out.mu.Lock()
+			ports := append([]int(nil), out.ports...)
+			out.mu.Unlock()
+			if tc.wantPort < 0 {
+				if len(ports) != 0 || st.Misses != misses+1 {
+					t.Fatalf("deleted rule still applied: ports %v, misses %d -> %d", ports, misses, st.Misses)
+				}
+				return
+			}
+			if len(ports) != 1 || ports[0] != tc.wantPort {
+				t.Fatalf("packet left on ports %v, want [%d]", ports, tc.wantPort)
+			}
+		})
+	}
+}
+
 func TestInstallGraphEndToEnd(t *testing.T) {
 	// Anomaly-detection shaped graph: A -> (B ‖ C read-only) -> out.
 	g := graph.New("t")
@@ -494,26 +563,6 @@ func TestInstallGraphEndToEnd(t *testing.T) {
 	}
 	if !h.WaitIdle(5 * time.Second) {
 		t.Fatalf("leak: %+v", h.Pool().Stats())
-	}
-}
-
-func TestLookupCacheAblation(t *testing.T) {
-	for _, disable := range []bool{false, true} {
-		h, out := startHost(t, Config{DisableLookupCache: disable}, func(h *Host) {
-			_, _ = h.AddNF(svcA, ppNF("n",
-				func(_ *nf.Context, _ *nf.Packet) nf.Decision { return nf.Default() }), 0)
-			mustAdd(t, h, flowtable.Rule{Scope: flowtable.Port(0), Match: flowtable.MatchAll,
-				Actions: []flowtable.Action{flowtable.Forward(svcA)}})
-			mustAdd(t, h, flowtable.Rule{Scope: svcA, Match: flowtable.MatchAll,
-				Actions: []flowtable.Action{flowtable.Out(0)}})
-		})
-		frame := buildFrame(t, 9999, []byte("cache"))
-		const n = 20
-		for i := 0; i < n; i++ {
-			_ = h.Ingest(0, frame)
-		}
-		waitFor(t, func() bool { return out.count() == n }, "packets out (cache ablation)")
-		h.Stop()
 	}
 }
 

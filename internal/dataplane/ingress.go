@@ -94,7 +94,7 @@ type PortDriverStats struct {
 // FrameCap is the largest frame Ingest admits: the pool buffer size.
 // Drivers size their receive buffers from it so oversize wire frames
 // are detected at the boundary instead of truncated silently.
-func (h *Host) FrameCap() int { return h.cfg.BufSize }
+func (h *Host) FrameCap() int { return bufSize }
 
 // ingressTable is the immutable ingress-bound port set, published
 // atomically like egressTable so Ingest stays lock-free.
@@ -299,8 +299,8 @@ func (h *Host) countRxDrop(n uint64) {
 // admit copies frame into a pool buffer and builds its descriptor,
 // enforcing the size cap and parseability.
 func (h *Host) admit(port int, frame []byte) (Desc, error) {
-	if len(frame) > h.cfg.BufSize {
-		return Desc{}, fmt.Errorf("%w: %dB > %dB", ErrFrameOversize, len(frame), h.cfg.BufSize)
+	if len(frame) > bufSize {
+		return Desc{}, fmt.Errorf("%w: %dB > %dB", ErrFrameOversize, len(frame), bufSize)
 	}
 	hd, err := h.pool.Alloc()
 	if err != nil {

@@ -16,6 +16,7 @@ import (
 // buffer.
 func TestIngestRefusals(t *testing.T) {
 	valid := buildFrame(t, 1000, nil)
+	oversize := make([]byte, NewHost(Config{PoolSize: 1}).FrameCap()+1)
 	// fill ingests valid frames until the host refuses one for capacity.
 	fill := func(t *testing.T, h *Host) {
 		for h.Ingest(0, valid) == nil {
@@ -30,7 +31,7 @@ func TestIngestRefusals(t *testing.T) {
 	}{
 		{name: "unbound", setup: func(_ *testing.T, h *Host) { h.UnbindIngress(0) },
 			frame: valid, want: ErrPortUnbound},
-		{name: "oversize", cfg: Config{BufSize: 256}, frame: make([]byte, 257), want: ErrFrameOversize},
+		{name: "oversize", frame: oversize, want: ErrFrameOversize},
 		{name: "malformed", frame: []byte{0xde, 0xad, 0xbe, 0xef}, want: ErrMalformedFrame},
 		{name: "empty", frame: nil, want: ErrMalformedFrame},
 		// The host is never started, so nothing drains what fill admits.

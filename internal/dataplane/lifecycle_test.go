@@ -266,7 +266,7 @@ func TestConcurrentStopSafe(t *testing.T) {
 // and InUse would go negative). Run under -race in CI.
 func TestStopMidBurstReleasesDescriptorsOnce(t *testing.T) {
 	h := dataplane.NewHost(dataplane.Config{
-		PoolSize: 64, RingSize: 4, TXThreads: 1, SpinLimit: 16,
+		PoolSize: 64, RingSize: 4, TXThreads: 1,
 	})
 	h.BindIngress(0)
 	gate := make(chan struct{})

@@ -486,39 +486,6 @@ func TestOverflowsAcrossRemoveNF(t *testing.T) {
 	}
 }
 
-// TestMalformedFrameDroppedWithoutCache is the regression test for
-// resolveEntry ignoring packet.Parse failures when the lookup cache is
-// disabled: a frame whose bytes no longer parse must be dropped, not
-// dispatched by the descriptor's stale flow key.
-func TestMalformedFrameDroppedWithoutCache(t *testing.T) {
-	h := NewHost(Config{PoolSize: 8, DisableLookupCache: true})
-	out := &collector{}
-	h.BindDefault(out.fn)
-	key := packet.FlowKey{SrcIP: packet.IPv4(10, 0, 0, 1), DstIP: packet.IPv4(10, 0, 0, 2), SrcPort: 1234, DstPort: 80, Proto: packet.ProtoUDP}
-	if _, err := h.Table().Add(flowtable.Rule{Scope: svcA, Match: flowtable.MatchAll,
-		Actions: []flowtable.Action{flowtable.Out(1)}}); err != nil {
-		t.Fatal(err)
-	}
-	hd, err := h.Pool().Alloc()
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf, _ := h.Pool().Buf(hd)
-	copy(buf, []byte{0xde, 0xad}) // not a parseable frame
-	_ = h.Pool().SetLength(hd, 2)
-	d := Desc{H: hd, Scope: svcA, Key: key, Verb: nf.VerbDefault}
-	inst := &Instance{Service: svcA, fn: NoopFn(), svcTime: newServiceTimeEWMA()}
-	var rr uint64
-	h.completeNF(h.snap.Load(), &d, inst, 0, &rr)
-	st := h.Stats()
-	if st.Drops != 1 || out.count() != 0 {
-		t.Fatalf("malformed frame dispatched: drops=%d delivered=%d", st.Drops, out.count())
-	}
-	if st.Pool.InUse != 0 {
-		t.Fatalf("buffer leaked: %+v", st.Pool)
-	}
-}
-
 // TestFanOutStaleHandleDropped is the regression test for fanOut ignoring
 // pool.Retain errors: a failed retain must drop the packet instead of
 // fanning out copies that each release a reference the pool never

@@ -720,15 +720,6 @@ func (t *Table) liveTouch(e *Entry) bool {
 	return true
 }
 
-// EntryLive reports whether a previously returned entry is still within
-// its timeouts, touching its idle clock exactly as a table hit would.
-// The data plane uses it to validate descriptor-cached entries: a cached
-// pointer bypasses Lookup, so without this check an expired flow would
-// keep forwarding on stale state forever.
-//
-//sdnfv:hotpath
-func (t *Table) EntryLive(e *Entry) bool { return t.liveTouch(e) }
-
 // lookupWildLive scans the sorted wildcard entries for scope, skipping
 // expired ones so a dead specific rule falls through to the broader rule
 // beneath it. The second result reports whether any expired entry was
